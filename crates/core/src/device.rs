@@ -31,11 +31,17 @@ pub trait DeviceUnderTest: Sync {
     /// vector (one value per specification, in the same order as
     /// [`DeviceUnderTest::spec_names`]).
     ///
+    /// [`crate::run_monte_carlo`] runs attempts in seed order and stops at
+    /// `instances` kept rows, so it calls this exactly `instances + skipped`
+    /// times and gives identical output for every `threads`.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable message when the instance cannot be
     /// simulated or measured; the Monte-Carlo driver either skips or reports
-    /// the failure depending on its configuration.
+    /// the failure depending on its configuration.  The driver also treats a
+    /// returned row with a NaN or infinite value, or of the wrong length, as
+    /// a failed attempt.
     fn simulate_instance(&self, rng: &mut StdRng) -> Result<Vec<f64>, String>;
 
     /// The acceptability ranges for this device, if the device family defines

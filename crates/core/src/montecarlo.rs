@@ -68,7 +68,10 @@ impl MonteCarloConfig {
 pub struct MonteCarloRun {
     /// Measurement rows, one per successfully simulated instance.
     pub rows: Vec<Vec<f64>>,
-    /// Number of simulation attempts that failed and were skipped.
+    /// Number of simulation attempts that failed and were skipped.  Attempts
+    /// run in seed order and stop at `instances` kept rows, so the device
+    /// simulated exactly `instances + skipped` instances, for every
+    /// `threads`.
     pub skipped: usize,
 }
 
@@ -76,11 +79,25 @@ pub struct MonteCarloRun {
 /// measurement rows (the Figure 1 loop: inject process disturbances, set up
 /// and run the device simulation, take measurements, store).
 ///
+/// Attempts run in seed order and stop at `config.instances` kept rows, so
+/// [`DeviceUnderTest::simulate_instance`] is called exactly
+/// `instances + skipped` times and the output is identical for every
+/// `threads`.
+///
+/// Attempt `i` simulates with its own seed, the `i`-th draw of the master
+/// generator.  Attempts run in waves of exactly as many as rows are still
+/// missing (capped by the remaining budget), each split into contiguous
+/// chunks across `threads` workers; a wave never yields more rows than are
+/// missing, so every simulation it runs is consumed.  A row holding a NaN
+/// or infinite value, or whose length differs from
+/// [`DeviceUnderTest::spec_names`], is a failed attempt.
+///
 /// # Errors
 ///
 /// Returns [`CompactionError::SimulationFailed`] when `skip_failures` is off
-/// and an instance fails, or when so many instances fail that the requested
-/// count cannot be reached within a 2× attempt budget.
+/// and an attempt fails (naming the first failing attempt), or when so many
+/// attempts fail that the requested count cannot be reached within a
+/// `3 · instances + 32` attempt budget.
 pub fn run_monte_carlo(
     device: &dyn DeviceUnderTest,
     config: &MonteCarloConfig,
@@ -88,42 +105,31 @@ pub fn run_monte_carlo(
     if config.instances == 0 {
         return Err(CompactionError::InvalidConfig { parameter: "instances", value: 0.0 });
     }
-    // Pre-draw one independent seed per attempt so results do not depend on
-    // the number of threads.  The budget leaves generous room for devices
-    // whose simulation occasionally fails under process variation.
+    // The budget leaves generous room for devices whose simulation
+    // occasionally fails under process variation.
     let attempt_budget = config.instances * 3 + 32;
+    let spec_names = device.spec_names();
     let mut master = StdRng::seed_from_u64(config.seed);
-    let seeds: Vec<u64> = (0..attempt_budget).map(|_| master.gen()).collect();
-
-    let results: Vec<(usize, std::result::Result<Vec<f64>, String>)> = if config.threads <= 1 {
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(index, &seed)| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                (index, device.simulate_instance(&mut rng))
-            })
-            .collect()
-    } else {
-        simulate_parallel(device, &seeds, config.threads)
-    };
-
     let mut rows = Vec::with_capacity(config.instances);
     let mut skipped = 0usize;
-    for (index, result) in results {
-        if rows.len() == config.instances {
-            break;
-        }
-        match result {
-            Ok(row) => rows.push(row),
-            Err(message) => {
-                if config.skip_failures {
-                    skipped += 1;
-                } else {
-                    return Err(CompactionError::SimulationFailed { instance: index, message });
+    let mut attempted = 0usize;
+    while rows.len() < config.instances && attempted < attempt_budget {
+        let wave = (config.instances - rows.len()).min(attempt_budget - attempted);
+        let seeds: Vec<u64> = (0..wave).map(|_| master.gen()).collect();
+        let results = simulate_wave(device, &seeds, config.threads);
+        for (offset, result) in results.into_iter().enumerate() {
+            match result.and_then(|row| check_row(row, &spec_names)) {
+                Ok(row) => rows.push(row),
+                Err(_) if config.skip_failures => skipped += 1,
+                Err(message) => {
+                    return Err(CompactionError::SimulationFailed {
+                        instance: attempted + offset,
+                        message,
+                    })
                 }
             }
         }
+        attempted += wave;
     }
     if rows.len() < config.instances {
         return Err(CompactionError::SimulationFailed {
@@ -138,38 +144,52 @@ pub fn run_monte_carlo(
     Ok(MonteCarloRun { rows, skipped })
 }
 
-/// Runs the simulations on `threads` worker threads, preserving attempt order.
-fn simulate_parallel(
+/// Simulates one attempt per seed, in seed order: inline when `threads <= 1`,
+/// otherwise in contiguous chunks on `threads` scoped workers.
+fn simulate_wave(
     device: &dyn DeviceUnderTest,
     seeds: &[u64],
     threads: usize,
-) -> Vec<(usize, std::result::Result<Vec<f64>, String>)> {
-    let mut results: Vec<(usize, std::result::Result<Vec<f64>, String>)> =
-        Vec::with_capacity(seeds.len());
+) -> Vec<std::result::Result<Vec<f64>, String>> {
+    let simulate = move |chunk: &[u64]| -> Vec<_> {
+        chunk
+            .iter()
+            .map(|&seed| device.simulate_instance(&mut StdRng::seed_from_u64(seed)))
+            .collect()
+    };
+    if threads <= 1 {
+        return simulate(seeds);
+    }
     std::thread::scope(|scope| {
-        let chunk_size = seeds.len().div_ceil(threads);
         let handles: Vec<_> = seeds
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk_index, chunk)| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, &seed)| {
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            (chunk_index * chunk_size + offset, device.simulate_instance(&mut rng))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+            .chunks(seeds.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || simulate(chunk)))
             .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("simulation worker panicked"));
-        }
-    });
-    results.sort_by_key(|(index, _)| *index);
-    results
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("simulation worker panicked"))
+            .collect()
+    })
+}
+
+/// Accepts a simulated row only if it has one finite value per specification.
+fn check_row(row: Vec<f64>, spec_names: &[String]) -> std::result::Result<Vec<f64>, String> {
+    if row.len() != spec_names.len() {
+        let column = row.len().min(spec_names.len());
+        let state = if row.len() < spec_names.len() { "missing" } else { "unexpected" };
+        return Err(format!(
+            "simulation returned {} measurements for {} specifications (column {column} is {state})",
+            row.len(),
+            spec_names.len()
+        ));
+    }
+    match row.iter().position(|value| !value.is_finite()) {
+        Some(column) => Err(format!(
+            "measurement column {column} (`{}`) is {}",
+            spec_names[column], row[column]
+        )),
+        None => Ok(row),
+    }
 }
 
 /// Generates a labelled [`MeasurementSet`] for a device: runs the Monte-Carlo
@@ -194,7 +214,7 @@ pub fn generate_measurement_set(
             let nominals: Vec<f64> = (0..names.len())
                 .map(|c| {
                     let mut values: Vec<f64> = run.rows.iter().map(|r| r[c]).collect();
-                    values.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+                    values.sort_by(f64::total_cmp);
                     values[values.len() / 2]
                 })
                 .collect();
@@ -236,6 +256,8 @@ pub fn generate_train_test(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::device::SyntheticDevice;
 
@@ -280,8 +302,9 @@ mod tests {
         assert_ne!(train.row_values(0), test.row_values(0));
     }
 
-    /// A device whose simulation fails half the time.
-    struct FlakyDevice;
+    /// A device whose simulation fails whenever its uniform draw in
+    /// `[-1, 1)` is at most the threshold (half the time at 0.0).
+    struct FlakyDevice(f64);
 
     impl DeviceUnderTest for FlakyDevice {
         fn name(&self) -> &str {
@@ -295,21 +318,198 @@ mod tests {
         }
         fn simulate_instance(&self, rng: &mut StdRng) -> std::result::Result<Vec<f64>, String> {
             let value: f64 = rng.gen_range(-1.0..1.0);
-            if value > 0.0 {
+            if value > self.0 {
                 Ok(vec![value])
             } else {
-                Err("negative draw".to_string())
+                Err("draw below threshold".to_string())
             }
         }
     }
 
     #[test]
     fn failures_are_skipped_or_fatal_depending_on_config() {
-        let skipping = run_monte_carlo(&FlakyDevice, &MonteCarloConfig::new(20)).unwrap();
+        let skipping = run_monte_carlo(&FlakyDevice(0.0), &MonteCarloConfig::new(20)).unwrap();
         assert_eq!(skipping.rows.len(), 20);
         assert!(skipping.skipped > 0);
-        let strict = run_monte_carlo(&FlakyDevice, &MonteCarloConfig::new(20).fail_fast());
+        let strict = run_monte_carlo(&FlakyDevice(0.0), &MonteCarloConfig::new(20).fail_fast());
         assert!(matches!(strict, Err(CompactionError::SimulationFailed { .. })));
+    }
+
+    /// The eager driver the wave loop replaced: simulate the whole
+    /// `3N + 32` attempt budget sequentially, then keep the first N rows.
+    fn eager_reference(
+        device: &dyn DeviceUnderTest,
+        config: &MonteCarloConfig,
+    ) -> Result<MonteCarloRun> {
+        let budget = config.instances * 3 + 32;
+        let spec_names = device.spec_names();
+        let mut master = StdRng::seed_from_u64(config.seed);
+        let seeds: Vec<u64> = (0..budget).map(|_| master.gen()).collect();
+        let results: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                device
+                    .simulate_instance(&mut StdRng::seed_from_u64(seed))
+                    .and_then(|row| check_row(row, &spec_names))
+            })
+            .collect();
+        let mut rows = Vec::new();
+        let mut skipped = 0;
+        for (index, result) in results.into_iter().enumerate() {
+            if rows.len() == config.instances {
+                break;
+            }
+            match result {
+                Ok(row) => rows.push(row),
+                Err(_) if config.skip_failures => skipped += 1,
+                Err(message) => {
+                    return Err(CompactionError::SimulationFailed { instance: index, message })
+                }
+            }
+        }
+        if rows.len() < config.instances {
+            return Err(CompactionError::SimulationFailed {
+                instance: rows.len(),
+                message: format!(
+                    "only {} of {} instances could be simulated within a {budget}-attempt budget ({skipped} failures)",
+                    rows.len(),
+                    config.instances
+                ),
+            });
+        }
+        Ok(MonteCarloRun { rows, skipped })
+    }
+
+    #[test]
+    fn waves_match_the_eager_reference_on_every_thread_count() {
+        // Half failing (several waves), mostly failing (budget exhaustion
+        // with some rows kept) and fail-fast (first failing attempt index).
+        let cases = [
+            (FlakyDevice(0.0), MonteCarloConfig::new(40).with_seed(3)),
+            (FlakyDevice(0.9), MonteCarloConfig::new(40).with_seed(4)),
+            (FlakyDevice(0.0), MonteCarloConfig::new(40).with_seed(5).fail_fast()),
+        ];
+        for (device, config) in &cases {
+            let reference = eager_reference(device, config);
+            for threads in 1..=4 {
+                let run = run_monte_carlo(device, &config.with_threads(threads));
+                assert_eq!(run, reference, "threads {threads}, config {config:?}");
+            }
+        }
+        assert!(eager_reference(&cases[0].0, &cases[0].1).unwrap().skipped > 0);
+        assert!(matches!(
+            eager_reference(&cases[1].0, &cases[1].1),
+            Err(CompactionError::SimulationFailed { instance, .. }) if instance > 0
+        ));
+        assert!(matches!(
+            eager_reference(&cases[2].0, &cases[2].1),
+            Err(CompactionError::SimulationFailed { message, .. }) if message == "draw below threshold"
+        ));
+    }
+
+    /// Counts `simulate_instance` calls on the wrapped device.
+    struct CountingDevice<'a> {
+        inner: &'a dyn DeviceUnderTest,
+        calls: AtomicUsize,
+    }
+
+    impl DeviceUnderTest for CountingDevice<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn spec_names(&self) -> Vec<String> {
+            self.inner.spec_names()
+        }
+        fn spec_units(&self) -> Vec<String> {
+            self.inner.spec_units()
+        }
+        fn simulate_instance(&self, rng: &mut StdRng) -> std::result::Result<Vec<f64>, String> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.simulate_instance(rng)
+        }
+    }
+
+    #[test]
+    fn simulates_exactly_the_kept_and_skipped_instances() {
+        fn check(inner: &dyn DeviceUnderTest, flaky: bool) {
+            for threads in [1, 2] {
+                let device = CountingDevice { inner, calls: AtomicUsize::new(0) };
+                let config = MonteCarloConfig::new(300).with_seed(11).with_threads(threads);
+                let run = run_monte_carlo(&device, &config).unwrap();
+                assert_eq!(run.rows.len(), 300);
+                assert_eq!(run.skipped > 0, flaky);
+                assert_eq!(device.calls.into_inner(), 300 + run.skipped, "threads {threads}");
+            }
+        }
+        check(&SyntheticDevice::new(4, 2.0, 0.5), false);
+        check(&FlakyDevice(0.0), true);
+    }
+
+    /// A device whose rows are sometimes NaN, infinite or one value short.
+    struct GlitchyDevice;
+
+    impl DeviceUnderTest for GlitchyDevice {
+        fn name(&self) -> &str {
+            "glitchy"
+        }
+        fn spec_names(&self) -> Vec<String> {
+            vec!["a".to_string(), "b".to_string()]
+        }
+        fn spec_units(&self) -> Vec<String> {
+            vec!["-".to_string(); 2]
+        }
+        fn simulate_instance(&self, rng: &mut StdRng) -> std::result::Result<Vec<f64>, String> {
+            let value: f64 = rng.gen_range(-1.0..1.0);
+            Ok(match value {
+                v if v < -0.9 => vec![v, f64::NAN],
+                v if v < -0.8 => vec![v, f64::INFINITY],
+                v if v < -0.7 => vec![v],
+                v => vec![v, -v],
+            })
+        }
+    }
+
+    #[test]
+    fn non_finite_and_short_rows_are_skipped_and_counted() {
+        let config = MonteCarloConfig::new(200).with_seed(8);
+        let run = run_monte_carlo(&GlitchyDevice, &config).unwrap();
+        assert!(run.skipped > 0);
+        assert!(run.rows.iter().all(|row| row.len() == 2 && row.iter().all(|v| v.is_finite())));
+        assert_eq!(Ok(run), eager_reference(&GlitchyDevice, &config));
+        // Calibrated ranges come from the finite rows only.
+        let set = generate_measurement_set(&GlitchyDevice, &config).unwrap();
+        assert_eq!(set.len(), 200);
+    }
+
+    #[test]
+    fn non_finite_and_short_rows_fail_fast_naming_the_column() {
+        let mut saw = [false; 3];
+        for seed in 0..40 {
+            let config = MonteCarloConfig::new(50).with_seed(seed).fail_fast();
+            let Err(CompactionError::SimulationFailed { instance, message }) =
+                run_monte_carlo(&GlitchyDevice, &config.with_threads(2))
+            else {
+                panic!("seed {seed}: a glitch within 50 attempts must fail the run");
+            };
+            let Err(CompactionError::SimulationFailed { instance: first, .. }) =
+                eager_reference(&GlitchyDevice, &config)
+            else {
+                unreachable!()
+            };
+            assert_eq!(instance, first);
+            if message == "measurement column 1 (`b`) is NaN" {
+                saw[0] = true;
+            } else if message == "measurement column 1 (`b`) is inf" {
+                saw[1] = true;
+            } else {
+                assert_eq!(
+                    message,
+                    "simulation returned 1 measurements for 2 specifications (column 1 is missing)"
+                );
+                saw[2] = true;
+            }
+        }
+        assert_eq!(saw, [true; 3]);
     }
 
     /// A device that always fails: even the skip budget cannot save it.
