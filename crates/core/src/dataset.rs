@@ -64,7 +64,8 @@ impl DeviceLabel {
 /// into that allocation — a row range over all columns.  Cloning a matrix or
 /// taking a sub-view ([`MeasurementMatrix::rows_view`]) never copies
 /// measurement data, so train/test splits and truncations share storage with
-/// the population they came from.
+/// the population they came from.  Every value is finite: the constructors
+/// (and deserialisation, which goes through them) reject NaN and ±∞.
 ///
 /// ```
 /// use stc_core::MeasurementMatrix;
@@ -114,10 +115,17 @@ impl MeasurementMatrix {
     /// # Errors
     ///
     /// Returns [`CompactionError::DimensionMismatch`] if any row does not
-    /// have `columns` values.
+    /// have `columns` values and [`CompactionError::NonFiniteMeasurement`]
+    /// for the first NaN or infinite value in row-major order.
     pub fn from_rows(rows: Vec<Vec<f64>>, columns: usize) -> Result<Self> {
         if let Some(bad) = rows.iter().find(|r| r.len() != columns) {
             return Err(CompactionError::DimensionMismatch { expected: columns, found: bad.len() });
+        }
+        for (row, values) in rows.iter().enumerate() {
+            if let Some(column) = values.iter().position(|v| !v.is_finite()) {
+                let value = values[column];
+                return Err(CompactionError::NonFiniteMeasurement { row, column, value });
+            }
         }
         let row_count = rows.len();
         let mut values = vec![0.0; columns * row_count];
@@ -139,8 +147,10 @@ impl MeasurementMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CompactionError::EmptyTestSet`] for zero columns and
-    /// [`CompactionError::DimensionMismatch`] for ragged column lengths.
+    /// Returns [`CompactionError::EmptyTestSet`] for zero columns,
+    /// [`CompactionError::DimensionMismatch`] for ragged column lengths and
+    /// [`CompactionError::NonFiniteMeasurement`] for the first NaN or
+    /// infinite value in column-major order.
     pub fn from_columns(columns: Vec<Vec<f64>>) -> Result<Self> {
         if columns.is_empty() {
             return Err(CompactionError::EmptyTestSet);
@@ -151,6 +161,12 @@ impl MeasurementMatrix {
                 expected: row_count,
                 found: bad.len(),
             });
+        }
+        for (column, values) in columns.iter().enumerate() {
+            if let Some(row) = values.iter().position(|v| !v.is_finite()) {
+                let value = values[row];
+                return Err(CompactionError::NonFiniteMeasurement { row, column, value });
+            }
         }
         let column_count = columns.len();
         let mut values = Vec::with_capacity(column_count * row_count);
@@ -414,7 +430,9 @@ impl MeasurementSet {
     /// # Errors
     ///
     /// Returns [`CompactionError::DimensionMismatch`] if any row does not have
-    /// one value per specification.
+    /// one value per specification and
+    /// [`CompactionError::NonFiniteMeasurement`] for a NaN or infinite
+    /// measurement.
     pub fn new(specs: SpecificationSet, rows: Vec<Vec<f64>>) -> Result<Self> {
         let matrix = MeasurementMatrix::from_rows(rows, specs.len())?;
         MeasurementSet::from_matrix(specs, matrix)
@@ -681,6 +699,31 @@ mod tests {
     fn construction_validates_dimensions() {
         let specs = two_spec_set();
         assert!(MeasurementSet::new(specs, vec![vec![1.0]]).is_err());
+    }
+
+    /// A NaN or ±∞ measurement used to be accepted, and a 200-device
+    /// training set carrying one of each compacted to `Ok` with every test
+    /// kept.  It is rejected at construction now, naming row and column.
+    #[test]
+    fn non_finite_measurements_are_rejected_with_their_position() {
+        let mut rows: Vec<Vec<f64>> =
+            (0..200).map(|i| vec![(i % 10) as f64 / 10.0, (i % 7) as f64]).collect();
+        rows[17][1] = f64::NAN;
+        rows[120][0] = f64::INFINITY;
+        match MeasurementSet::new(two_spec_set(), rows.clone()) {
+            Err(CompactionError::NonFiniteMeasurement { row: 17, column: 1, value }) => {
+                assert!(value.is_nan());
+            }
+            other => panic!("expected a non-finite measurement error, got {other:?}"),
+        }
+        let columns: Vec<Vec<f64>> =
+            (0..2).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
+        assert_eq!(
+            MeasurementMatrix::from_columns(columns).unwrap_err(),
+            CompactionError::NonFiniteMeasurement { row: 120, column: 0, value: f64::INFINITY }
+        );
+        let error = MeasurementMatrix::from_rows(vec![vec![1.0, f64::NEG_INFINITY]], 2);
+        assert!(error.unwrap_err().to_string().contains("row 0, column 1"));
     }
 
     #[test]

@@ -21,6 +21,17 @@ pub enum CompactionError {
         /// Number of measurement columns found.
         found: usize,
     },
+    /// A measurement was NaN or infinite.  No pass/fail label or normalised
+    /// column means anything for such a value, so data is rejected where it
+    /// enters instead of turning into a plausible-looking report.
+    NonFiniteMeasurement {
+        /// Device instance (row) of the value.
+        row: usize,
+        /// Measurement column of the value.
+        column: usize,
+        /// The rejected value.
+        value: f64,
+    },
     /// The referenced specification index does not exist.
     UnknownSpecification {
         /// The offending index.
@@ -89,6 +100,9 @@ impl fmt::Display for CompactionError {
             }
             CompactionError::DimensionMismatch { expected, found } => {
                 write!(f, "measurement row has {found} values, expected {expected}")
+            }
+            CompactionError::NonFiniteMeasurement { row, column, value } => {
+                write!(f, "measurement at row {row}, column {column} is not finite: {value}")
             }
             CompactionError::UnknownSpecification { index, count } => {
                 write!(f, "specification index {index} out of range (set has {count})")

@@ -21,6 +21,22 @@
 //! on the full set, so the returned solution always satisfies the global
 //! KKT tolerance.
 //!
+//! Each iteration only redoes work that changed.  Every variable carries
+//! its `I_up`/`I_low` membership as two bits, computed once after the warm
+//! start and refreshed for the working pair alone after each update, so the
+//! selection passes and the shrink filter read one byte per variable
+//! instead of re-deriving membership from `y`, `a` and `C`.  The first pass
+//! masks non-`I_up` values to `-∞` rather than branching on them and
+//! collects the active `I_low` members — typically a fifth of the active
+//! set — which are the only candidates the second-order pass scans.  The
+//! gradient update is a zipped, bounds-check-free loop the compiler
+//! vectorises.  `Q` rows live in an LRU cache whose recency list evicts in
+//! O(1) and recycles the evicted row's buffer, so a full cache allocates
+//! nothing per miss.  None of this changes the arithmetic: solutions,
+//! iteration counts and the sequence of rows requested from [`QMatrix`] are
+//! bit-identical to the straightforward formulation, which golden tests
+//! pin.
+//!
 //! The solver supports **warm starts** through
 //! [`SmoProblem::initial_alpha`]: any box-feasible starting point is
 //! accepted, and a start near the optimum (for example the projected
@@ -83,8 +99,11 @@ pub struct SmoParams {
     pub tolerance: f64,
     /// Hard cap on the number of SMO iterations (must be non-zero).
     pub max_iterations: usize,
-    /// Number of `Q` rows kept in the internal cache (must be non-zero; the
-    /// solver raises it to at least 2 so the active pair always fits).
+    /// Number of `Q` rows kept in the internal LRU cache (must be non-zero;
+    /// the solver raises it to at least 2 so the working pair always fits).
+    /// A hit costs O(1); a miss computes one row into the buffer of the
+    /// evicted least-recently-used row, so memory stays at `cache_rows`
+    /// rows of [`QMatrix::len`] values each and a full cache allocates nothing.
     pub cache_rows: usize,
 }
 
@@ -164,92 +183,114 @@ pub struct SmoSolution {
 
 /// LRU row cache keyed by row index.
 ///
-/// Every access refreshes a row's recency stamp, so the rows of the current
-/// working pair — touched on every iteration — survive arbitrary cache
-/// pressure while cold rows are evicted first.  (The pre-0.4 cache evicted
-/// in pure FIFO insertion order, which could throw out the two hot rows
-/// while one-shot rows survived.)
+/// Every access moves a row to the most-recent end of an intrusive recency
+/// list, so the rows of the current working pair — touched on every
+/// iteration — survive arbitrary cache pressure while cold rows are evicted
+/// first.  Eviction takes the least-recently-used row off the other end in
+/// O(1) — the same row an O(n) scan for the oldest last-use stamp would
+/// pick — and the evicted row's buffer is recycled for the row that
+/// replaces it, so a full cache allocates nothing per miss.
 ///
 /// Residency ([`RowCache::ensure`]) is separated from access
 /// ([`RowCache::row`]) so the solver can hold shared borrows of several rows
 /// at once instead of copying them out.
 struct RowCache {
     capacity: usize,
-    clock: u64,
     resident: usize,
-    /// One slot per row: `(last-use stamp, row values)` when resident.
-    rows: Vec<Option<(u64, Vec<f64>)>>,
+    /// Row values per index, `Some` when resident.
+    rows: Vec<Option<Vec<f64>>>,
+    /// Circular doubly linked recency list over the resident rows, threaded
+    /// through `prev`/`next` with node `n` as the sentinel: `next[n]` is the
+    /// least-recently-used row and `prev[n]` the most recently used.
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    /// Fetch buffer of [`RowCache::ensure_batch`], reused across calls.
+    batch: Vec<f64>,
 }
 
 impl RowCache {
     fn new(capacity: usize, n: usize) -> Self {
-        RowCache { capacity: capacity.max(2), clock: 0, resident: 0, rows: vec![None; n] }
+        RowCache {
+            capacity: capacity.max(2),
+            resident: 0,
+            rows: vec![None; n],
+            prev: vec![n; n + 1],
+            next: vec![n; n + 1],
+            batch: Vec::new(),
+        }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (before, after) = (self.prev[i], self.next[i]);
+        self.next[before] = after;
+        self.prev[after] = before;
+    }
+
+    fn push_most_recent(&mut self, i: usize) {
+        let sentinel = self.rows.len();
+        let last = self.prev[sentinel];
+        self.next[last] = i;
+        self.prev[i] = last;
+        self.next[i] = sentinel;
+        self.prev[sentinel] = i;
+    }
+
+    /// Refreshes the recency of row `i`; returns `false` if it is not
+    /// resident.
+    fn touch(&mut self, i: usize) -> bool {
+        if self.rows[i].is_none() {
+            return false;
+        }
+        self.unlink(i);
+        self.push_most_recent(i);
+        true
+    }
+
+    /// Makes `i` the most recent resident row and returns its buffer for
+    /// the caller to fill: the evicted least-recently-used row's buffer when
+    /// the cache is full, a fresh one otherwise.
+    fn admit(&mut self, i: usize, len: usize) -> &mut [f64] {
+        let buffer = if self.resident == self.capacity {
+            let lru = self.next[self.rows.len()];
+            self.unlink(lru);
+            self.rows[lru].take().expect("listed rows are resident")
+        } else {
+            self.resident += 1;
+            vec![0.0; len]
+        };
+        self.push_most_recent(i);
+        self.rows[i].insert(buffer)
     }
 
     /// Makes row `i` resident (computing it if needed, evicting the
     /// least-recently-used row when at capacity) and refreshes its recency.
     fn ensure<Q: QMatrix>(&mut self, q: &Q, i: usize) {
-        self.clock += 1;
-        if let Some((stamp, _)) = self.rows[i].as_mut() {
-            *stamp = self.clock;
-            return;
+        if !self.touch(i) {
+            let row = self.admit(i, q.len());
+            q.row(i, row);
         }
-        if self.resident >= self.capacity {
-            let evict = self
-                .rows
-                .iter()
-                .enumerate()
-                .filter_map(|(t, slot)| slot.as_ref().map(|(stamp, _)| (*stamp, t)))
-                .min()
-                .map(|(_, t)| t)
-                .expect("a full cache has a least-recently-used row");
-            self.rows[evict] = None;
-            self.resident -= 1;
-        }
-        let mut row = vec![0.0; q.len()];
-        q.row(i, &mut row);
-        self.rows[i] = Some((self.clock, row));
-        self.resident += 1;
     }
 
     /// Makes every row of `batch` resident with one batched
-    /// [`QMatrix::rows`] fetch for the misses.
+    /// [`QMatrix::rows`] fetch.
     ///
-    /// Bookkeeping — recency stamps, eviction order, resident set — is
-    /// identical to calling [`RowCache::ensure`] on each index in order,
-    /// because the fetch is a pure function of the index and only the
-    /// insertion order touches the cache state.  `batch` must hold distinct
-    /// indices and be no longer than the cache capacity (so no row of the
-    /// batch can evict another).
+    /// `batch` must hold distinct rows that are not resident (the solver's
+    /// warm-start rows, each fetched once into a fresh cache) and be no
+    /// longer than the cache capacity, so no row of the batch can evict
+    /// another.  Bookkeeping — recency order, eviction order, resident set —
+    /// is then identical to calling [`RowCache::ensure`] on each index in
+    /// order, because the fetch is a pure function of the index.
     fn ensure_batch<Q: QMatrix>(&mut self, q: &Q, batch: &[usize]) {
         debug_assert!(batch.len() <= self.capacity);
-        let misses: Vec<usize> =
-            batch.iter().copied().filter(|&i| self.rows[i].is_none()).collect();
-        let mut fetched = vec![0.0; misses.len() * q.len()];
-        q.rows(&misses, &mut fetched);
-        let mut chunks = fetched.chunks_exact(q.len());
-        for &i in batch {
-            self.clock += 1;
-            if let Some((stamp, _)) = self.rows[i].as_mut() {
-                *stamp = self.clock;
-                continue;
-            }
-            if self.resident >= self.capacity {
-                let evict = self
-                    .rows
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, slot)| slot.as_ref().map(|(stamp, _)| (*stamp, t)))
-                    .min()
-                    .map(|(_, t)| t)
-                    .expect("a full cache has a least-recently-used row");
-                self.rows[evict] = None;
-                self.resident -= 1;
-            }
-            let row = chunks.next().expect("one fetched row per miss").to_vec();
-            self.rows[i] = Some((self.clock, row));
-            self.resident += 1;
+        debug_assert!(batch.iter().all(|&i| self.rows[i].is_none()));
+        let n = q.len();
+        let mut fetched = std::mem::take(&mut self.batch);
+        fetched.resize(batch.len() * n, 0.0);
+        q.rows(batch, &mut fetched);
+        for (&i, row) in batch.iter().zip(fetched.chunks_exact(n)) {
+            self.admit(i, n).copy_from_slice(row);
         }
+        self.batch = fetched;
     }
 
     /// Borrows a row previously made resident with [`RowCache::ensure`].
@@ -258,8 +299,23 @@ impl RowCache {
     ///
     /// Panics if the row is not resident.
     fn row(&self, i: usize) -> &[f64] {
-        self.rows[i].as_ref().map(|(_, row)| row.as_slice()).expect("row is resident")
+        self.rows[i].as_deref().expect("row is resident")
     }
+}
+
+/// Membership bit of the index set `I_up` (Keerthi et al.): the variable
+/// can move so that `y_t a_t` grows.
+const UP: u8 = 1;
+/// Membership bit of `I_low`: the variable can move so that `y_t a_t`
+/// shrinks.
+const LOW: u8 = 2;
+
+/// `I_up`/`I_low` membership bits of a variable with sign `y`, value `a`
+/// and upper bound `c`.
+fn membership(y: f64, a: f64, c: f64) -> u8 {
+    let up = (y > 0.0 && a < c) || (y < 0.0 && a > 0.0);
+    let low = (y > 0.0 && a > 0.0) || (y < 0.0 && a < c);
+    (u8::from(up) * UP) | (u8::from(low) * LOW)
 }
 
 /// Validates the solver configuration.
@@ -373,6 +429,11 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
         }
     }
 
+    // `I_up`/`I_low` membership of every variable.  Only the working pair
+    // moves per iteration, so the bits are refreshed for `i` and `j` alone
+    // instead of being re-derived from `y`, `alpha` and `C` in every pass.
+    let mut flags: Vec<u8> = (0..n).map(|t| membership(y[t], alpha[t], c[t])).collect();
+
     // Shrinking (LIBSVM heuristic): variables pinned at a bound whose
     // gradient keeps them out of every violating pair are periodically
     // dropped from the selection scan.  Gradients are maintained for all
@@ -382,36 +443,44 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
     let shrink_interval = n.clamp(1, 1000);
     let mut since_shrink = 0usize;
 
+    // The active "low" variables in ascending order, collected by the first
+    // selection pass: only they can pair with `i` in the second.
+    let mut low: Vec<usize> = Vec::with_capacity(n);
+
     let mut iterations = 0;
     loop {
         // Working-set selection, first pass: the maximal violator `i` over
         // the active set's "up" index set, plus the minimal "low" value for
         // the stopping test (`m(a) - M(a) <= tolerance`, Keerthi et al.).
+        // Non-"up" values are masked to the `-∞` that can never win the
+        // strict comparison instead of being branched around; `usize::MAX`
+        // marks an empty index set.
         let mut g_max = f64::NEG_INFINITY;
         let mut g_min = f64::INFINITY;
-        let mut i_sel: Option<usize> = None;
-        let mut low_sel: Option<usize> = None;
+        let mut i_sel = usize::MAX;
+        let mut low_sel = usize::MAX;
+        low.clear();
         for &t in &active {
             let value = -y[t] * grad[t];
-            let in_up = (y[t] > 0.0 && alpha[t] < c[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
-            let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-            if in_up && value > g_max {
-                g_max = value;
-                i_sel = Some(t);
+            let up_value = if flags[t] & UP != 0 { value } else { f64::NEG_INFINITY };
+            if up_value > g_max {
+                g_max = up_value;
+                i_sel = t;
             }
-            if in_low && value < g_min {
-                g_min = value;
-                low_sel = Some(t);
+            if flags[t] & LOW != 0 {
+                low.push(t);
+                if value < g_min {
+                    g_min = value;
+                    low_sel = t;
+                }
             }
         }
 
-        // `None` pair: every variable is stuck at a bound in a way that
-        // leaves one of the index sets empty — the current point is optimal
+        // An empty index set means every variable is stuck at a bound in a
+        // way that leaves no violating pair — the current point is optimal
         // for the feasible region.
-        let converged = match (i_sel, low_sel) {
-            (Some(_), Some(_)) => g_max - g_min <= params.tolerance,
-            _ => true,
-        };
+        let converged =
+            i_sel == usize::MAX || low_sel == usize::MAX || g_max - g_min <= params.tolerance;
         if converged {
             if active.len() == n {
                 break;
@@ -422,49 +491,43 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             since_shrink = 0;
             continue;
         }
-        let i = i_sel.expect("pair exists");
+        let i = i_sel;
 
         if iterations >= params.max_iterations {
             return Err(SvmError::NotConverged { iterations });
         }
         iterations += 1;
 
-        // Second pass: second-order selection of `j` (LIBSVM's WSS 2).
+        // Second pass, over the active "low" variables only: second-order
+        // selection of `j` (LIBSVM's WSS 2).
         // Among the "low" variables violating against `i`, pick the one whose
         // two-variable sub-problem yields the largest objective decrease
         // `(g_max - value_t)^2 / a_it` — far fewer iterations than the
         // first-order maximal-violating-pair rule, especially from a
-        // warm-started point whose remaining violations are diffuse.
+        // warm-started point whose remaining violations are diffuse.  The
+        // stopping test failed, so the minimal "low" value violates against
+        // `i` by more than the tolerance and is always a valid fallback.
         cache.ensure(q, i);
         let j = {
             let q_i = cache.row(i);
             let diag_i = q.diag(i);
-            let mut j_sel: Option<usize> = None;
+            let mut j_sel = low_sel;
             let mut best_gain = f64::NEG_INFINITY;
-            for &t in &active {
-                let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-                if !in_low {
-                    continue;
-                }
+            for &t in &low {
                 let grad_diff = g_max + y[t] * grad[t];
-                if grad_diff <= 0.0 {
-                    continue;
-                }
                 // `a_it = K_ii + K_tt - 2 K_it`; `Q[i][t] = y_i y_t K_it`.
                 let mut quad = diag_i + q.diag(t) - 2.0 * y[i] * y[t] * q_i[t];
                 if quad <= 0.0 {
                     quad = TAU;
                 }
-                let gain = grad_diff * grad_diff / quad;
+                let gain =
+                    if grad_diff > 0.0 { grad_diff * grad_diff / quad } else { f64::NEG_INFINITY };
                 if gain > best_gain {
                     best_gain = gain;
-                    j_sel = Some(t);
+                    j_sel = t;
                 }
             }
-            // The stopping test failed, so the minimal "low" value violates
-            // against `i` by more than the tolerance and is always a valid
-            // fallback candidate.
-            j_sel.or(low_sel).expect("a violating pair exists")
+            j_sel
         };
 
         // Periodically shrink bound variables that cannot join a violating
@@ -475,9 +538,7 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             since_shrink = 0;
             active.retain(|&t| {
                 let value = -y[t] * grad[t];
-                let in_up = (y[t] > 0.0 && alpha[t] < c[t]) || (y[t] < 0.0 && alpha[t] > 0.0);
-                let in_low = (y[t] > 0.0 && alpha[t] > 0.0) || (y[t] < 0.0 && alpha[t] < c[t]);
-                match (in_up, in_low) {
+                match (flags[t] & UP != 0, flags[t] & LOW != 0) {
                     (true, true) => true,
                     (true, false) => value >= g_min,
                     (false, true) => value <= g_max,
@@ -550,6 +611,8 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             }
         }
 
+        flags[i] = membership(y[i], alpha[i], c[i]);
+        flags[j] = membership(y[j], alpha[j], c[j]);
         let delta_i = alpha[i] - old_ai;
         let delta_j = alpha[j] - old_aj;
         if delta_i == 0.0 && delta_j == 0.0 {
@@ -563,8 +626,11 @@ pub fn solve<Q: QMatrix>(q: &Q, problem: &SmoProblem, params: &SmoParams) -> Res
             since_shrink = 0;
             continue;
         }
-        for t in 0..n {
-            grad[t] += q_i[t] * delta_i + q_j[t] * delta_j;
+        // Zipped iterators drop the bounds checks, so the update vectorises;
+        // the expression is kept as is (no fused multiply-add) to stay
+        // bit-identical.
+        for ((g, &qi), &qj) in grad.iter_mut().zip(q_i).zip(q_j) {
+            *g += qi * delta_i + qj * delta_j;
         }
     }
 
@@ -649,6 +715,21 @@ impl QMatrix for DenseQ {
     fn diag(&self, i: usize) -> f64 {
         self.values[i * self.n + i]
     }
+}
+
+/// FNV-1a over a stream of 64-bit words: the golden tests' fingerprint of
+/// exact solution bits (`f64::to_bits`) and index sequences.
+#[cfg(test)]
+pub(crate) fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Deterministic uniform draw from `[0, 1)` for test fixtures.
+#[cfg(test)]
+pub(crate) fn uniform(state: &mut u64) -> f64 {
+    (crate::nystrom::splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -831,6 +912,62 @@ mod tests {
         assert_eq!(cache.rows.iter().filter(|slot| slot.is_some()).count(), 2);
     }
 
+    /// The O(1) recency list evicts exactly the row a scan for the oldest
+    /// last-use stamp picks, through single and batched accesses, and every
+    /// recycled buffer holds the row it is resident for.
+    #[test]
+    fn row_cache_evicts_like_a_min_stamp_scan() {
+        let (n, capacity) = (64, 7);
+        let q = DenseQ::from_fn(n, |i, j| (i * n + j) as f64);
+        let mut cache = RowCache::new(capacity, n);
+        let mut stamps: Vec<Option<u64>> = vec![None; n];
+        let mut clock = 0;
+        let (mut expected, mut observed) = (Vec::new(), Vec::new());
+        let mut state = 3;
+        let mut fresh = vec![0.0; n];
+        for step in 0..10_000 {
+            // Skewed toward a hot subset; every tenth access is a batch of
+            // four distinct non-resident rows, the shape warm starts fetch.
+            let size = if step % 10 == 0 { 4 } else { 1 };
+            let mut batch: Vec<usize> = Vec::new();
+            while batch.len() < size {
+                let range = if uniform(&mut state) < 0.5 { 8.0 } else { n as f64 };
+                let i = (uniform(&mut state) * range) as usize;
+                if size == 1 || (cache.rows[i].is_none() && !batch.contains(&i)) {
+                    batch.push(i);
+                }
+            }
+            let before: Vec<bool> = cache.rows.iter().map(Option::is_some).collect();
+            match batch.as_slice() {
+                [i] => cache.ensure(&q, *i),
+                _ => cache.ensure_batch(&q, &batch),
+            }
+            observed.extend((0..n).filter(|&t| before[t] && cache.rows[t].is_none()));
+
+            let mut evicted = Vec::new();
+            for &i in &batch {
+                clock += 1;
+                if stamps[i].is_none() && stamps.iter().flatten().count() == capacity {
+                    let lru = (0..n).filter(|&t| stamps[t].is_some()).min_by_key(|&t| stamps[t]);
+                    let lru = lru.expect("a full cache has a least-recently-used row");
+                    stamps[lru] = None;
+                    evicted.push(lru);
+                }
+                stamps[i] = Some(clock);
+            }
+            evicted.sort_unstable();
+            expected.extend(evicted);
+
+            for t in (0..n).filter(|&t| cache.rows[t].is_some()) {
+                q.row(t, &mut fresh);
+                assert_eq!(cache.row(t), fresh.as_slice(), "row {t} at step {step}");
+            }
+        }
+        assert!(expected.len() > 5_000, "{} evictions", expected.len());
+        assert_eq!(observed, expected);
+        assert_eq!(cache.resident, capacity);
+    }
+
     /// The two rows of the working pair are touched every iteration, so even
     /// a minimal cache must not recompute them per iteration: the number of
     /// `QMatrix::row` evaluations stays far below one per iteration.
@@ -949,5 +1086,103 @@ mod tests {
             solve(&q, &problem, &SmoParams::default()).unwrap().objective
         };
         assert!(solve_with_c(10.0) <= solve_with_c(0.5) + 1e-9);
+    }
+
+    /// A `QMatrix` that logs every row it is asked for, in request order.
+    struct LoggingQ {
+        inner: DenseQ,
+        log: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl QMatrix for LoggingQ {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn row(&self, i: usize, out: &mut [f64]) {
+            self.log.borrow_mut().push(i);
+            self.inner.row(i, out);
+        }
+        fn diag(&self, i: usize) -> f64 {
+            self.inner.diag(i)
+        }
+    }
+
+    /// Exact fingerprint of a solve and of the rows it requested.
+    fn golden(q: &LoggingQ, solution: &SmoSolution) -> [u64; 6] {
+        let log = q.log.borrow();
+        [
+            solution.iterations as u64,
+            solution.rho.to_bits(),
+            solution.objective.to_bits(),
+            fingerprint(solution.alpha.iter().map(|a| a.to_bits())),
+            log.len() as u64,
+            fingerprint(log.iter().map(|&i| i as u64)),
+        ]
+    }
+
+    /// Bit-identity pin of the solver's trajectory, including the order of
+    /// `Q` rows it requests: a cold solve under a 24-row cache (evictions,
+    /// shrinking, unshrinking), then a warm solve from a perturbed, repaired
+    /// copy of that optimum (batched gradient reconstruction, ray scaling).
+    /// Any change to these numbers is a change of numerics or of row traffic.
+    #[test]
+    fn golden_trajectory_and_row_requests_are_bit_identical() {
+        let n = 300;
+        let mut state = 7;
+        let xs: Vec<[f64; 3]> = (0..n)
+            .map(|_| [uniform(&mut state), uniform(&mut state), uniform(&mut state)])
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| {
+                if x[0] - x[1] * x[2] + 0.8 * (uniform(&mut state) - 0.5) > 0.2 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        let kernel = Kernel::rbf(3.0);
+        let logging = || LoggingQ {
+            inner: DenseQ::from_fn(n, |i, j| ys[i] * ys[j] * kernel.eval(&xs[i], &xs[j])),
+            log: Default::default(),
+        };
+        let params = SmoParams { cache_rows: 24, ..SmoParams::default() };
+        let problem = SmoProblem {
+            y: ys.clone(),
+            p: vec![-1.0; n],
+            upper_bound: vec![50.0; n],
+            initial_alpha: vec![0.0; n],
+        };
+        let q = logging();
+        let cold = solve(&q, &problem, &params).unwrap();
+        assert_eq!(
+            golden(&q, &cold),
+            [
+                1983,
+                4602862335695647745,
+                13886108583115962270,
+                2814344514694284524,
+                858,
+                11566040192524442420
+            ]
+        );
+
+        let mut start: Vec<f64> =
+            cold.alpha.iter().map(|&a| (a * (1.5 + uniform(&mut state))).min(50.0)).collect();
+        repair_equality_constraint(&mut start, &ys);
+        let q = logging();
+        let warm = solve(&q, &SmoProblem { initial_alpha: start, ..problem }, &params).unwrap();
+        assert_eq!(
+            golden(&q, &warm),
+            [
+                1477,
+                4602863700138355561,
+                13886108583137249224,
+                3028608553789445867,
+                711,
+                4654561147566798918
+            ]
+        );
     }
 }

@@ -672,4 +672,70 @@ mod tests {
         assert_eq!(warm.iterations(), cold.iterations());
         assert_eq!(warm, cold);
     }
+
+    /// Overlapping two-class set over four uniform features: the label is a
+    /// noisy nonlinear score, so RBF training needs thousands of SMO
+    /// iterations on it.
+    fn overlapping(n: usize) -> Dataset {
+        let mut state = 2005;
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..4).map(|_| smo::uniform(&mut state)).collect()).collect();
+        let labels: Vec<f64> = rows
+            .iter()
+            .map(|x| {
+                let noise = smo::uniform(&mut state) - 0.5;
+                if x[0] + x[1] * x[2] - x[3] + 1.5 * noise > 0.25 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        Dataset::from_rows(&rows, &labels).unwrap()
+    }
+
+    /// Exact fingerprint of a trained model: iterations, `rho` bits, a hash
+    /// of the coefficient bits, the support-vector count and a hash of the
+    /// support indices.
+    fn golden(model: &Svc) -> (usize, u64, u64, usize, u64) {
+        (
+            model.iterations,
+            model.rho.to_bits(),
+            smo::fingerprint(model.coefficients.iter().map(|c| c.to_bits())),
+            model.support_indices.len(),
+            smo::fingerprint(model.support_indices.iter().map(|&i| i as u64)),
+        )
+    }
+
+    /// Bit-identity pin of the solver and kernel engine.  A cold RBF fit on
+    /// 1500 overlapping samples evicts from the 512-row cache and runs long
+    /// enough to shrink and unshrink; its warm child over one dropped column
+    /// exercises the warm-start gradient and the parent dot-row bank.  Any
+    /// change to these numbers is a change of numerics.
+    #[test]
+    fn golden_fits_are_bit_identical() {
+        let data = overlapping(1500);
+        let params = SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(2.0));
+        let (cold, bank, cold_usage) = Svc::train_with_bank(&data, &params, None, None).unwrap();
+        assert_eq!(
+            golden(&cold),
+            (4944, 13817814403611923137, 11361028990218442152, 835, 6748643591813500352)
+        );
+        assert_eq!(
+            cold_usage,
+            EngineUsage { seeded_rows: 0, rebuilt_rows: 1000, ignored_bank: false }
+        );
+
+        let child = data.select_columns(&[0, 1, 3]).unwrap();
+        let (warm, _, warm_usage) =
+            Svc::train_with_bank(&child, &params, Some(&cold), Some(&bank)).unwrap();
+        assert_eq!(
+            golden(&warm),
+            (3798, 4598858106350934563, 14166495897471428820, 877, 16325809937166827943)
+        );
+        assert_eq!(
+            warm_usage,
+            EngineUsage { seeded_rows: 96, rebuilt_rows: 977, ignored_bank: false }
+        );
+    }
 }

@@ -451,4 +451,31 @@ mod tests {
             .unwrap();
         assert_eq!(model.rmse(&Dataset::new(1).unwrap()), 0.0);
     }
+
+    /// Bit-identity pin of an ε-SVR fit, whose `Q` rows each serve both
+    /// halves of the 2·300-variable dual.  Any change to these numbers is a
+    /// change of numerics.
+    #[test]
+    fn golden_fit_is_bit_identical() {
+        let mut state = 13;
+        let mut d = Dataset::new(2).unwrap();
+        for _ in 0..300 {
+            let x = [smo::uniform(&mut state), smo::uniform(&mut state)];
+            let noise = 0.2 * (smo::uniform(&mut state) - 0.5);
+            d.push(x.to_vec(), (3.0 * x[0]).sin() * x[1] + noise).unwrap();
+        }
+        let params = SvrParams::new().with_c(10.0).with_epsilon(0.05).with_kernel(Kernel::rbf(3.0));
+        let model = Svr::train(&d, &params).unwrap();
+        let golden = (
+            model.iterations,
+            model.bias.to_bits(),
+            smo::fingerprint(model.coefficients.iter().map(|c| c.to_bits())),
+            model.support_indices.len(),
+            smo::fingerprint(model.support_indices.iter().map(|&i| i as u64)),
+        );
+        assert_eq!(
+            golden,
+            (3706, 4563955023093777071, 13423021809646738931, 150, 12013511337481402247)
+        );
+    }
 }
