@@ -274,6 +274,21 @@ pub trait Classifier: fmt::Debug + Send + Sync {
         None
     }
 
+    /// Whether every point of the box `[lower, upper]` is provably predicted
+    /// bad: exactly `predict_good_within(lower, upper) == Some(false)`, which
+    /// is the default; backends override it when the one-sided proof is
+    /// cheaper than the two-sided one.
+    fn proves_bad_within(&self, lower: &[f64], upper: &[f64]) -> bool {
+        self.predict_good_within(lower, upper) == Some(false)
+    }
+
+    /// A copy holding only what prediction needs — no training state such
+    /// as kernel-row banks — with identical decisions and box verdicts, or
+    /// `None` when this model already holds nothing more (the default).
+    fn deployable(&self) -> Option<Arc<dyn Classifier>> {
+        None
+    }
+
     /// Kernel-row bank diagnostics of the training that produced this model,
     /// or `None` for backends without an incremental bank (for example the
     /// [`GridBackend`]).  Feeds the [`BankStats`] rolled up in

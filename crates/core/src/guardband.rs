@@ -298,6 +298,23 @@ impl GuardBandedClassifier {
             _ => Prediction::GuardBand,
         })
     }
+
+    /// Whether the pair provably classifies the whole box `Bad`: exactly
+    /// `classify_within(lower, upper) == Some(Prediction::Bad)`, proven one
+    /// side at a time ([`Classifier::proves_bad_within`]).  The loose model
+    /// goes first: it is trained to accept more devices, so it is the side
+    /// that usually fails to prove bad, and its failure settles the answer
+    /// without consulting the strict model.
+    pub fn proves_bad_within(&self, lower: &[f64], upper: &[f64]) -> bool {
+        self.loose.proves_bad_within(lower, upper) && self.strict.proves_bad_within(lower, upper)
+    }
+
+    /// The pair with each model replaced by its
+    /// [`Classifier::deployable`] copy, where the backend offers one.
+    pub(crate) fn deployable(self) -> Self {
+        let deploy = |model: Arc<dyn Classifier>| model.deployable().unwrap_or(model);
+        GuardBandedClassifier { strict: deploy(self.strict), loose: deploy(self.loose), ..self }
+    }
 }
 
 #[cfg(test)]

@@ -168,10 +168,13 @@ impl TesterProgram {
     }
 
     /// Builds a tester program that ships the trained model pair itself
-    /// (whatever classifier backend produced it).
+    /// (whatever classifier backend produced it), stripped of training state
+    /// the tester never reads ([`Classifier::deployable`]).
+    ///
+    /// [`Classifier::deployable`]: crate::classifier::Classifier::deployable
     pub fn with_model(specs: SpecificationSet, classifier: GuardBandedClassifier) -> Self {
         let kept = classifier.kept().to_vec();
-        TesterProgram { specs, kept, model: TesterModel::Exact(classifier) }
+        TesterProgram { specs, kept, model: TesterModel::Exact(classifier.deployable()) }
     }
 
     /// Builds a tester program that ships a lookup table with the given grid
@@ -453,8 +456,20 @@ pub enum StepVerdict {
 ///   this is order-independent), and
 /// * once the guard-banded model pair is provably **bad** over the whole box
 ///   of values the unmeasured stages could still take
-///   ([`GuardBandedClassifier::classify_within`]), the device is rejected
+///   ([`GuardBandedClassifier::proves_bad_within`]), the device is rejected
 ///   without measuring them.
+///
+/// The bad-box proof is one-sided and loose-first.  Only a `Bad` box verdict
+/// ever acts, so the exact pair is not asked for the two-sided
+/// [`GuardBandedClassifier::classify_within`] verdict: each model proves
+/// only that the *upper* bound of its decision over the box is negative
+/// (one kernel bound per support vector instead of two), and the loose
+/// model — the side that usually fails — is asked first, so the strict
+/// model is consulted only when the loose one already proved bad.  This is
+/// the same verdict: `classify_within` is `Some(Bad)` exactly when both
+/// models bound their decision below `-margin`, and a decision whose upper
+/// bound is below `-margin` cannot also have a lower bound above `+margin`
+/// (the lower bound never exceeds the upper one, term by term).
 ///
 /// A *good* (or guard-band) verdict can never be emitted early: any
 /// unmeasured kept specification could still be violated.  Because both
@@ -552,13 +567,18 @@ impl SequentialSession<'_> {
         // completion is bad by the range check above — so the final verdict
         // is bad whatever the remaining measurements turn out to be.  A
         // provably-good box proves nothing (an unmeasured kept range could
-        // still be violated).
-        let box_verdict = match &self.program.model {
-            TesterModel::Exact(classifier) => classifier.classify_within(&self.lower, &self.upper),
-            TesterModel::LookupTable(table) => table.classify_within(&self.lower, &self.upper),
-            TesterModel::CompleteSuite | TesterModel::Detached { .. } => None,
+        // still be violated), so the exact pair is asked the one-sided
+        // question only.
+        let proven_bad = match &self.program.model {
+            TesterModel::Exact(classifier) => {
+                classifier.proves_bad_within(&self.lower, &self.upper)
+            }
+            TesterModel::LookupTable(table) => {
+                table.classify_within(&self.lower, &self.upper) == Some(Prediction::Bad)
+            }
+            TesterModel::CompleteSuite | TesterModel::Detached { .. } => false,
         };
-        if box_verdict == Some(Prediction::Bad) {
+        if proven_bad {
             self.verdict = Some(Prediction::Bad);
             return Ok(StepVerdict::Decided(Prediction::Bad));
         }

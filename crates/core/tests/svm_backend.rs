@@ -3,11 +3,16 @@
 //! tests) because `stc-svm` is a dev-dependency: the backend implements the
 //! `ClassifierFactory` trait of the already-built `stc-core` rlib.
 
+use std::sync::Arc;
+
+use stc_core::classifier::{Classifier, ClassifierFactory, TrainingView};
+use stc_core::tester::{SequentialStats, StepVerdict, TestPlan};
 use stc_core::{
-    generate_train_test, CompactionConfig, Compactor, GuardBandConfig, GuardBandedClassifier,
-    MonteCarloConfig, SyntheticDevice,
+    generate_train_test, CompactionConfig, Compactor, GridBackend, GuardBandConfig,
+    GuardBandedClassifier, MeasurementSet, MonteCarloConfig, Prediction, Specification,
+    SpecificationSet, SyntheticDevice, TestCostModel, TesterProgram,
 };
-use stc_svm::SvmBackend;
+use stc_svm::{Kernel, SvcParams, SvmBackend};
 
 fn svm() -> SvmBackend {
     SvmBackend::paper_default()
@@ -460,4 +465,160 @@ fn active_screening_matches_exact_decisions_with_fewer_trainings() {
     assert_eq!(budgeted.kept, screened.kept);
     assert_eq!(budgeted.eliminated, screened.eliminated);
     assert!(!budgeted.budget.exhausted, "screened candidates consumed budget slots");
+}
+
+/// A model that forwards the decision and the two-sided box verdict only —
+/// like a tracing wrapper that predates [`Classifier::proves_bad_within`]
+/// and [`Classifier::deployable`], so both stay at their defaults.
+#[derive(Debug)]
+struct Forwarding(Arc<dyn Classifier>);
+
+impl Classifier for Forwarding {
+    fn decision(&self, features: &[f64]) -> f64 {
+        self.0.decision(features)
+    }
+
+    fn predict_good_within(&self, lower: &[f64], upper: &[f64]) -> Option<bool> {
+        self.0.predict_good_within(lower, upper)
+    }
+}
+
+/// Trains with `SvmBackend` and hands out [`Forwarding`] models.
+#[derive(Debug)]
+struct ForwardingBackend;
+
+impl ClassifierFactory for ForwardingBackend {
+    fn name(&self) -> &str {
+        "forwarding-svm"
+    }
+
+    fn train(&self, view: &TrainingView<'_>) -> stc_core::Result<Arc<dyn Classifier>> {
+        Ok(Arc::new(Forwarding(local_svm().train(view)?)))
+    }
+}
+
+/// An SVM with a narrow RBF kernel (`gamma = 100`): far-away support vectors
+/// contribute almost nothing to the decision bound over a box, so on
+/// [`steep_population`] the pair proves bad from the first measurement
+/// alone.  (With the paper's `gamma = 1` every support vector spans the
+/// unit box and such proofs do not occur.)
+fn local_svm() -> SvmBackend {
+    SvmBackend::new(SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(100.0)))
+}
+
+/// Three specifications on `[0, 1]`: the first and last are independent
+/// uniform draws, the middle one follows the first steeply
+/// (`3 a - 0.5` plus noise), so it fails whenever the first reads above
+/// about 0.5 — a failing region the first measurement alone decides.
+fn steep_population(devices: usize, seed: u64) -> MeasurementSet {
+    let mut state = seed;
+    let mut uniform = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let specs = SpecificationSet::new(
+        ["a", "b", "c"]
+            .iter()
+            .map(|name| Specification::new(name, "-", 0.5, 0.0, 1.0).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let rows = (0..devices)
+        .map(|_| {
+            let a = 1.1 * uniform() - 0.05;
+            let c = 1.1 * uniform() - 0.05;
+            vec![a, 3.0 * a - 0.5 + 0.04 * (uniform() - 0.5), c]
+        })
+        .collect();
+    MeasurementSet::new(specs, rows).unwrap()
+}
+
+/// Per-device `(verdict, depth)` of cheapest-first sessions over `data`.
+fn session_outcomes(plan: &TestPlan<'_>, data: &MeasurementSet) -> Vec<(Prediction, usize)> {
+    (0..data.len())
+        .map(|i| {
+            let mut session = plan.begin();
+            for &column in plan.stages() {
+                if let StepVerdict::Decided(verdict) =
+                    session.measure(data.value(i, column)).unwrap()
+                {
+                    return (verdict, session.measured());
+                }
+            }
+            unreachable!("the last stage always decides")
+        })
+        .collect()
+}
+
+/// The deployed tester's one-sided, loose-first bad-box proof changes no
+/// outcome: a program whose models only offer the two-sided verdict (the
+/// trait defaults) reaches the same per-device verdicts, depths and
+/// sequential statistics, and on both backends `proves_bad_within` is
+/// exactly `classify_within == Some(Bad)` — including boxes deep in the
+/// failing region, where it holds.
+#[test]
+fn one_sided_bad_box_proofs_match_the_two_sided_verdict() {
+    let (train, test) = (steep_population(600, 1), steep_population(1500, 2));
+    let kept = [0usize, 2];
+    let guard_band = GuardBandConfig::paper_default();
+    let pair = GuardBandedClassifier::train_with(&local_svm(), &train, &kept, &guard_band).unwrap();
+    let forwarded =
+        GuardBandedClassifier::train_with(&ForwardingBackend, &train, &kept, &guard_band).unwrap();
+    let grid =
+        GuardBandedClassifier::train_with(&GridBackend::default(), &train, &kept, &guard_band)
+            .unwrap();
+
+    let direct = TesterProgram::with_model(train.specs().clone(), pair.clone());
+    let shimmed = TesterProgram::with_model(train.specs().clone(), forwarded);
+    let cost = TestCostModel::uniform(3);
+    let direct_plan = TestPlan::cheapest_first(&direct, &cost).unwrap();
+    let shimmed_plan = TestPlan::cheapest_first(&shimmed, &cost).unwrap();
+    let outcomes = session_outcomes(&direct_plan, &test);
+    assert_eq!(outcomes, session_outcomes(&shimmed_plan, &test));
+    let stats = SequentialStats::collect(&direct_plan, &cost, &test).unwrap();
+    assert_eq!(stats, SequentialStats::collect(&shimmed_plan, &cost, &test).unwrap());
+
+    // Some early exits are model-based: every measured value passed its
+    // range, yet the session stopped before the last stage.
+    let model_exits = (0..test.len())
+        .filter(|&i| outcomes[i].1 < kept.len())
+        .filter(|&i| {
+            let measured = &direct_plan.stages()[..outcomes[i].1];
+            measured.iter().all(|&c| test.specs().spec(c).passes(test.value(i, c)))
+        })
+        .count();
+    assert!(model_exits > 100, "{model_exits} model-based exits: {stats:?}");
+
+    let mut boxes = Vec::new();
+    for i in 0..200 {
+        let point: Vec<f64> =
+            kept.iter().map(|&c| test.specs().spec(c).normalize(test.value(i, c))).collect();
+        for measured in 0..=kept.len() {
+            let lower =
+                (0..kept.len()).map(|s| if s < measured { point[s] } else { 0.0 }).collect();
+            let upper =
+                (0..kept.len()).map(|s| if s < measured { point[s] } else { 1.0 }).collect();
+            boxes.push((lower, upper));
+        }
+    }
+    for deep in [1.3, 1.6, -0.4] {
+        boxes.push((vec![deep; 2], vec![deep; 2]));
+        boxes.push((vec![deep; 2], vec![deep + 0.2; 2]));
+    }
+    for classifier in [&pair, &grid] {
+        let mut proven = 0;
+        for (lower, upper) in &boxes {
+            let proves_bad = classifier.proves_bad_within(lower, upper);
+            assert_eq!(
+                proves_bad,
+                classifier.classify_within(lower, upper) == Some(Prediction::Bad),
+                "{} box {lower:?}..{upper:?}",
+                classifier.backend()
+            );
+            proven += usize::from(proves_bad);
+        }
+        if classifier.backend() == "svm" {
+            assert!(proven > 100, "only {proven} SVM boxes proven bad");
+        }
+    }
 }

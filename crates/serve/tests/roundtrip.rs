@@ -337,3 +337,74 @@ fn unknown_schema_versions_are_rejected_with_a_typed_error() {
         other => panic!("expected UnsupportedSchemaVersion, got {other:?}"),
     }
 }
+
+/// A trained `Svc` survives the wire (support vectors travel as rows) and
+/// the decoded model decides bit-identically, across several prediction
+/// blocks of support vectors.
+#[test]
+fn svc_models_round_trip_with_bitwise_equal_decisions() {
+    use stc_svm::{Dataset, Kernel, Svc, SvcParams};
+    let mut state = 0x5eed_u64;
+    let mut uniform = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let rows: Vec<Vec<f64>> = (0..400).map(|_| vec![uniform(), uniform(), uniform()]).collect();
+    let labels: Vec<f64> = rows
+        .iter()
+        .map(|x| if x[0] + 0.5 * x[1] - x[2] + 1.5 * (uniform() - 0.5) > 0.2 { 1.0 } else { -1.0 })
+        .collect();
+    let data = Dataset::from_rows(&rows, &labels).unwrap();
+    let model =
+        Svc::train(&data, &SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(2.0))).unwrap();
+    assert!(model.support_vector_count() > 128, "{} SVs", model.support_vector_count());
+
+    let json = stc_serve::json::to_string(&model).unwrap();
+    assert!(json.contains(r#""support_vectors":[["#), "rows on the wire: {}", &json[..80]);
+    let back = json_round_trip(&model);
+    assert_eq!(back, model);
+    for x in rows.iter().take(50) {
+        assert_eq!(back.decision_function(x).to_bits(), model.decision_function(x).to_bits());
+    }
+    let (lower, upper) = ([0.2, 0.0, 0.0], [0.2, 1.0, 1.0]);
+    let (lo, hi) = model.decision_bounds(&lower, &upper);
+    let (back_lo, back_hi) = back.decision_bounds(&lower, &upper);
+    assert_eq!((back_lo.to_bits(), back_hi.to_bits()), (lo.to_bits(), hi.to_bits()));
+}
+
+/// A decoded `Svc` whose parts do not fit together is rejected with an
+/// error naming the support-vector row, instead of decoding into a model
+/// that truncates or panics at prediction time.
+#[test]
+fn inconsistent_svc_models_are_rejected_naming_the_row() {
+    use stc_svm::Svc;
+    let model = |vectors: &str, coefficients: &str, indices: &str| {
+        format!(
+            r#"{{"kernel":{{"Rbf":{{"gamma":1.0}}}},"support_vectors":{vectors},"coefficients":{coefficients},{indices}"rho":0.1,"dimension":2,"bias_shift":0.0,"iterations":12}}"#
+        )
+    };
+    let rows = "[[0.1,0.2],[0.3,0.4],[0.5,0.6]]";
+    let coefficients = "[1.0,-0.5,-0.5]";
+    // Well-formed, with and without the 0.3-era optional `support_indices`.
+    let full = stc_serve::json::from_str::<Svc>(&model(
+        rows,
+        coefficients,
+        r#""support_indices":[4,7,9],"#,
+    ))
+    .expect("a consistent model decodes");
+    assert_eq!(full.support_indices(), &[4, 7, 9]);
+    let legacy = stc_serve::json::from_str::<Svc>(&model(rows, coefficients, "")).unwrap();
+    assert_eq!(legacy.decision_function(&[0.3, 0.3]), full.decision_function(&[0.3, 0.3]));
+
+    let rejected = |json: String, expected: &[&str]| {
+        let error = stc_serve::json::from_str::<Svc>(&json).unwrap_err().to_string();
+        for needle in expected {
+            assert!(error.contains(needle), "`{needle}` missing from: {error}");
+        }
+    };
+    rejected(model("[[0.1,0.2],[0.3,0.4]]", coefficients, ""), &["row 2", "3 coefficients"]);
+    rejected(model(rows, "[1.0,-0.5,-0.5,0.0]", ""), &["row 3", "4 coefficients"]);
+    rejected(model(rows, coefficients, r#""support_indices":[4,7],"#), &["row 2", "indices"]);
+    rejected(model("[[0.1,0.2],[0.3],[0.5,0.6]]", coefficients, ""), &["row 1", "dimension 2"]);
+    rejected(model("[[0.1,0.2],[0.3,0.4],[0.5,0.6,0.7]]", coefficients, ""), &["row 2"]);
+}

@@ -182,9 +182,6 @@ impl Classifier for SvmClassifier {
     /// `None`.  This is what gives SVM-backed tester programs model-based
     /// early exits in the sequential deploy mode.
     fn predict_good_within(&self, lower: &[f64], upper: &[f64]) -> Option<bool> {
-        /// Guards the proof against floating-point rounding in the bound
-        /// accumulation: a sign this close to zero is not trusted.
-        const SIGN_MARGIN: f64 = 1e-9;
         let (min, max) = self.model.decision_bounds(lower, upper);
         if min > SIGN_MARGIN {
             Some(true)
@@ -194,7 +191,30 @@ impl Classifier for SvmClassifier {
             None
         }
     }
+
+    /// The one-sided proof from [`Svc::decision_upper_bound`]: the same
+    /// upper bound `predict_good_within` compares, at half its kernel-bound
+    /// cost.  Equal to `predict_good_within(..) == Some(false)` because the
+    /// lower bound never exceeds the upper one, so `max < -SIGN_MARGIN`
+    /// rules out `min > SIGN_MARGIN`.
+    fn proves_bad_within(&self, lower: &[f64], upper: &[f64]) -> bool {
+        self.model.decision_upper_bound(lower, upper) < -SIGN_MARGIN
+    }
+
+    /// The same model without the training bank (prediction never reads
+    /// it; it can hold up to 96 rows of one value per training instance).
+    fn deployable(&self) -> Option<Arc<dyn Classifier>> {
+        Some(Arc::new(SvmClassifier {
+            model: self.model.clone(),
+            bank: Arc::default(),
+            usage: self.usage,
+        }))
+    }
 }
+
+/// Guards box proofs against floating-point rounding in the bound
+/// accumulation: a decision sign this close to zero is not trusted.
+const SIGN_MARGIN: f64 = 1e-9;
 
 /// Classifier wrapping a Nyström screening model ([`NystromModel`]).
 ///
@@ -360,6 +380,45 @@ mod tests {
         assert_eq!(model.predict_good_within(&[1.4], &[1.4]), Some(false));
         // A box spanning the boundary cannot be decided.
         assert_eq!(model.predict_good_within(&[-0.5], &[1.5]), None);
+    }
+
+    /// The deployable copy holds an empty bank and answers every decision,
+    /// box verdict and one-sided proof bit-identically to the trained model.
+    #[test]
+    fn deployable_copies_drop_the_bank_and_keep_every_answer() {
+        let data = population();
+        let view = TrainingView::new(&data, &[0, 1], 0.0).unwrap();
+        let model = SvmBackend::paper_default().train(&view).unwrap();
+        let trained = model.as_any().unwrap().downcast_ref::<SvmClassifier>().unwrap();
+        assert!(!trained.bank.is_empty());
+        let copy = model.deployable().expect("svm models have a deployable copy");
+        let deployed = copy.as_any().unwrap().downcast_ref::<SvmClassifier>().unwrap();
+        assert!(deployed.bank.is_empty());
+        assert_eq!(deployed.model, trained.model);
+        assert_eq!(copy.bank_stats(), model.bank_stats());
+        for i in 0..=40 {
+            let a = -1.0 + 0.075 * i as f64;
+            for b in [-0.8, 0.1, 0.45, 1.2] {
+                assert_eq!(copy.decision(&[a, b]).to_bits(), model.decision(&[a, b]).to_bits());
+                for (lower, upper) in
+                    [([a, b], [a, b]), ([a, 0.0], [a, 1.0]), ([a, b], [a + 0.3, b])]
+                {
+                    assert_eq!(
+                        copy.predict_good_within(&lower, &upper),
+                        model.predict_good_within(&lower, &upper)
+                    );
+                    let proves_bad = model.proves_bad_within(&lower, &upper);
+                    assert_eq!(copy.proves_bad_within(&lower, &upper), proves_bad);
+                    assert_eq!(
+                        proves_bad,
+                        model.predict_good_within(&lower, &upper) == Some(false),
+                        "box {lower:?}..{upper:?}"
+                    );
+                }
+            }
+        }
+        assert!(model.proves_bad_within(&[1.4, 1.26], &[1.4, 1.26]));
+        assert!(!model.proves_bad_within(&[-0.5, -0.5], &[1.5, 1.5]));
     }
 
     /// A foreign backend's model as the warm hint must be ignored, not

@@ -113,13 +113,57 @@ impl Kernel {
     /// builds).
     pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel arguments must have equal length");
+        fn inner(x: &[f64], y: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+            x.iter().zip(y.iter()).map(|(&a, &b)| term(a, b)).sum()
+        }
+        let s =
+            if self.uses_distance() { inner(x, y, distance_term) } else { inner(x, y, dot_term) };
+        self.outer(s)
+    }
+
+    /// Whether the kernel is a function of the squared distance `||x - y||²`
+    /// (RBF) rather than of the dot product `x · y` (every other kernel):
+    /// the *inner quantity* [`Kernel::outer`] maps to the kernel value.
+    pub(crate) fn uses_distance(&self) -> bool {
+        matches!(self, Kernel::Rbf { .. })
+    }
+
+    /// The kernel value from its inner quantity `s` (see
+    /// [`Kernel::uses_distance`]).
+    pub(crate) fn outer(&self, s: f64) -> f64 {
         match *self {
-            Kernel::Linear => dot(x, y),
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                (gamma * dot(x, y) + coef0).powi(degree as i32)
+            Kernel::Linear => s,
+            Kernel::Polynomial { gamma, coef0, degree } => (gamma * s + coef0).powi(degree as i32),
+            Kernel::Rbf { gamma } => (-gamma * s).exp(),
+            Kernel::Sigmoid { gamma, coef0 } => (gamma * s + coef0).tanh(),
+        }
+    }
+
+    /// One side of the kernel's range while its inner quantity spans
+    /// `[lo, hi]`: the maximum when `upper`, the minimum otherwise.  Each
+    /// side costs one outer-function evaluation (one `exp` for RBF).
+    pub(crate) fn outer_bound(&self, lo: f64, hi: f64, upper: bool) -> f64 {
+        match *self {
+            Kernel::Linear => {
+                if upper {
+                    hi
+                } else {
+                    lo
+                }
             }
-            Kernel::Rbf { gamma } => (-gamma * squared_distance(x, y)).exp(),
-            Kernel::Sigmoid { gamma, coef0 } => (gamma * dot(x, y) + coef0).tanh(),
+            Kernel::Polynomial { gamma, coef0, degree } => {
+                let (p_lo, p_hi) =
+                    powi_bounds(gamma * lo + coef0, gamma * hi + coef0, degree as i32);
+                if upper {
+                    p_hi
+                } else {
+                    p_lo
+                }
+            }
+            Kernel::Rbf { gamma } => (-gamma * if upper { lo } else { hi }).exp(),
+            Kernel::Sigmoid { gamma, coef0 } => {
+                (gamma * if upper { hi } else { lo } + coef0).tanh()
+            }
         }
     }
 
@@ -148,21 +192,26 @@ impl Kernel {
     pub fn eval_bounds(&self, x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), lower.len(), "kernel arguments must have equal length");
         assert_eq!(x.len(), upper.len(), "kernel arguments must have equal length");
-        match *self {
-            Kernel::Linear => dot_bounds(x, lower, upper),
-            Kernel::Polynomial { gamma, coef0, degree } => {
-                let (d_lo, d_hi) = dot_bounds(x, lower, upper);
-                powi_bounds(gamma * d_lo + coef0, gamma * d_hi + coef0, degree as i32)
+        fn inner_bounds(
+            x: &[f64],
+            lower: &[f64],
+            upper: &[f64],
+            term: impl Fn(f64, f64, f64) -> (f64, f64),
+        ) -> (f64, f64) {
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for ((&a, &l), &u) in x.iter().zip(lower.iter()).zip(upper.iter()) {
+                let (t_lo, t_hi) = term(a, l, u);
+                lo += t_lo;
+                hi += t_hi;
             }
-            Kernel::Rbf { gamma } => {
-                let (d2_lo, d2_hi) = squared_distance_bounds(x, lower, upper);
-                ((-gamma * d2_hi).exp(), (-gamma * d2_lo).exp())
-            }
-            Kernel::Sigmoid { gamma, coef0 } => {
-                let (d_lo, d_hi) = dot_bounds(x, lower, upper);
-                ((gamma * d_lo + coef0).tanh(), (gamma * d_hi + coef0).tanh())
-            }
+            (lo, hi)
         }
+        let (lo, hi) = if self.uses_distance() {
+            inner_bounds(x, lower, upper, distance_term_bounds)
+        } else {
+            inner_bounds(x, lower, upper, dot_term_bounds)
+        };
+        (self.outer_bound(lo, hi, false), self.outer_bound(lo, hi, true))
     }
 }
 
@@ -172,46 +221,31 @@ impl Default for Kernel {
     }
 }
 
-fn dot(x: &[f64], y: &[f64]) -> f64 {
-    x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
+/// One feature's term of the dot product `x · y`.
+pub(crate) fn dot_term(a: f64, b: f64) -> f64 {
+    a * b
 }
 
-fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
-    x.iter()
-        .zip(y.iter())
-        .map(|(a, b)| {
-            let d = a - b;
-            d * d
-        })
-        .sum()
+/// One feature's term of the squared distance `||x - y||²`.
+pub(crate) fn distance_term(a: f64, b: f64) -> f64 {
+    let d = a - b;
+    d * d
 }
 
-/// Bounds of `x · y` with `y_j ∈ [l_j, u_j]`: each term `x_j * y_j` is
-/// monotone in `y_j`, so the extremes sit at the interval endpoints.
-fn dot_bounds(x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for ((&a, &l), &u) in x.iter().zip(lower.iter()).zip(upper.iter()) {
-        let (t1, t2) = (a * l, a * u);
-        lo += t1.min(t2);
-        hi += t1.max(t2);
-    }
-    (lo, hi)
+/// Bounds of the dot-product term `a * y` with `y ∈ [l, u]`: the term is
+/// monotone in `y`, so the extremes sit at the interval endpoints.
+pub(crate) fn dot_term_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
+    let (t1, t2) = (a * l, a * u);
+    (t1.min(t2), t1.max(t2))
 }
 
-/// Bounds of `||x - y||²` with `y_j ∈ [l_j, u_j]`: per dimension the
-/// squared offset is smallest at the projection of `x_j` onto the interval
-/// and largest at the farther endpoint.
-fn squared_distance_bounds(x: &[f64], lower: &[f64], upper: &[f64]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for ((&a, &l), &u) in x.iter().zip(lower.iter()).zip(upper.iter()) {
-        let near = (l - a).max(a - u).max(0.0);
-        lo += near * near;
-        let (d1, d2) = (a - l, a - u);
-        hi += (d1 * d1).max(d2 * d2);
-    }
-    (lo, hi)
+/// Bounds of the squared-distance term `(a - y)²` with `y ∈ [l, u]`: smallest
+/// at the projection of `a` onto the interval, largest at the farther
+/// endpoint.
+pub(crate) fn distance_term_bounds(a: f64, l: f64, u: f64) -> (f64, f64) {
+    let near = (l - a).max(a - u).max(0.0);
+    let (d1, d2) = (a - l, a - u);
+    (near * near, (d1 * d1).max(d2 * d2))
 }
 
 /// Bounds of `s^degree` for `s ∈ [lo, hi]`: monotone for odd degrees; for

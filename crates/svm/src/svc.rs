@@ -1,8 +1,11 @@
 //! Soft-margin support-vector classification (C-SVC).
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{DotRowBank, EngineUsage, KernelEngine, KernelPath};
+use crate::kernel::{distance_term, distance_term_bounds, dot_term, dot_term_bounds};
 use crate::smo::{self, QMatrix, SmoParams, SmoProblem};
 use crate::{Dataset, Kernel, Result, SvmError};
 
@@ -189,27 +192,45 @@ impl QMatrix for SvcQ<'_> {
     }
 }
 
+/// Support vectors per block of [`Svc::decision_function`]: the block's
+/// inner quantities live in a stack buffer this long.
+const SV_BLOCK: usize = 64;
+
 /// A trained support-vector classifier.
 ///
 /// The decision function is `f(x) = Σ_i a_i y_i K(x_i, x) - rho`; prediction
 /// is `sign(f(x))` with ties broken toward the positive class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// # Storage
+///
+/// The support vectors are stored once, column-major: feature `j` of support
+/// vector `i` sits at `j * support_vector_count() + i`.  Prediction walks
+/// them in blocks of 64: one pass per feature accumulates every block
+/// member's squared distance (RBF) or dot product in ascending feature order,
+/// then each member gets its scalar outer function (`exp`, `powi`, `tanh`)
+/// and `coef * k` is summed in support-vector order — the same operations in
+/// the same order as `Σ coef · Kernel::eval(sv, x)`, so decisions are
+/// bit-identical to that per-vector loop.  (The accumulators start at `0.0`
+/// where `Iterator::sum` starts at `-0.0`; that can only flip the sign of a
+/// zero kernel value, and the running sum, which starts at `+0.0`, is
+/// unchanged by adding a zero of either sign.)  The wire format keeps the
+/// row-major `support_vectors` field (see the `Deserialize` impl for what a
+/// decoded model is checked for).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Svc {
     kernel: Kernel,
-    support_vectors: Vec<Vec<f64>>,
+    /// Support vectors, column-major (see the type docs).
+    sv_columns: Vec<f64>,
     coefficients: Vec<f64>,
     /// Training-instance index of each support vector, enabling warm starts
-    /// of related problems over the same training population.  Defaulted on
-    /// deserialization so 0.3-era models still load (they simply cannot seed
-    /// warm starts).
-    #[serde(default)]
+    /// of related problems over the same training population.  Empty for
+    /// deserialized 0.3-era models (they simply cannot seed warm starts).
     support_indices: Vec<usize>,
     rho: f64,
     dimension: usize,
     bias_shift: f64,
     /// SMO iterations spent training this model (0 for deserialized 0.3-era
     /// models).
-    #[serde(default)]
     iterations: usize,
 }
 
@@ -307,19 +328,20 @@ impl Svc {
         };
         let solution = smo::solve(&q, &problem, &smo_params)?;
 
-        let mut support_vectors = Vec::new();
         let mut coefficients = Vec::new();
         let mut support_indices = Vec::new();
         for (i, (&alpha, &label)) in solution.alpha.iter().zip(y.iter()).enumerate() {
             if alpha > 1e-12 {
-                support_vectors.push(data.features(i));
                 coefficients.push(alpha * label);
                 support_indices.push(i);
             }
         }
+        let sv_columns = (0..data.dimension())
+            .flat_map(|j| support_indices.iter().map(move |&i| data.column(j)[i]))
+            .collect();
         let model = Svc {
             kernel: params.kernel,
-            support_vectors,
+            sv_columns,
             coefficients,
             support_indices,
             rho: solution.rho,
@@ -364,9 +386,22 @@ impl Svc {
     /// Panics if `x` does not have [`Svc::dimension`] entries.
     pub fn decision_function(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dimension, "feature vector has wrong dimension");
+        let mut inner = [0.0; SV_BLOCK];
         let mut sum = 0.0;
-        for (sv, &coef) in self.support_vectors.iter().zip(self.coefficients.iter()) {
-            sum += coef * self.kernel.eval(sv, x);
+        for block in self.blocks() {
+            let inner = &mut inner[..block.len()];
+            inner.fill(0.0);
+            for (j, &value) in x.iter().enumerate() {
+                let column = self.column_block(j, &block);
+                if self.kernel.uses_distance() {
+                    accumulate(inner, column, |sv| distance_term(sv, value));
+                } else {
+                    accumulate(inner, column, |sv| dot_term(sv, value));
+                }
+            }
+            for (&s, &coef) in inner.iter().zip(&self.coefficients[block]) {
+                sum += coef * self.kernel.outer(s);
+            }
         }
         sum - self.rho + self.bias_shift
     }
@@ -386,22 +421,80 @@ impl Svc {
     ///
     /// Panics if the bounds do not have [`Svc::dimension`] entries.
     pub fn decision_bounds(&self, lower: &[f64], upper: &[f64]) -> (f64, f64) {
-        assert_eq!(lower.len(), self.dimension, "lower bound has wrong dimension");
-        assert_eq!(upper.len(), self.dimension, "upper bound has wrong dimension");
         let mut min = 0.0;
         let mut max = 0.0;
-        for (sv, &coef) in self.support_vectors.iter().zip(self.coefficients.iter()) {
-            let (k_lo, k_hi) = self.kernel.eval_bounds(sv, lower, upper);
-            if coef >= 0.0 {
-                min += coef * k_lo;
-                max += coef * k_hi;
-            } else {
-                min += coef * k_hi;
-                max += coef * k_lo;
-            }
-        }
+        self.for_each_inner_bounds(lower, upper, |coef, lo, hi| {
+            min += self.bound_term(coef, lo, hi, false);
+            max += self.bound_term(coef, lo, hi, true);
+        });
         let offset = self.bias_shift - self.rho;
         (min + offset, max + offset)
+    }
+
+    /// The upper bound of the decision function over the box
+    /// `[lower, upper]`: exactly `decision_bounds(lower, upper).1` (the same
+    /// terms summed in the same order), at half the outer-function cost —
+    /// only the kernel bound a coefficient's sign selects is evaluated.  A
+    /// strictly negative value proves every point of the box negative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bounds do not have [`Svc::dimension`] entries.
+    pub fn decision_upper_bound(&self, lower: &[f64], upper: &[f64]) -> f64 {
+        let mut max = 0.0;
+        self.for_each_inner_bounds(lower, upper, |coef, lo, hi| {
+            max += self.bound_term(coef, lo, hi, true);
+        });
+        max + (self.bias_shift - self.rho)
+    }
+
+    /// One support vector's term of the decision bound: `coef` times the
+    /// kernel bound that maximises (`upper`) or minimises the product.
+    fn bound_term(&self, coef: f64, lo: f64, hi: f64, upper: bool) -> f64 {
+        coef * self.kernel.outer_bound(lo, hi, (coef >= 0.0) == upper)
+    }
+
+    /// Calls `term(coef, lo, hi)` for every support vector in order, where
+    /// `[lo, hi]` encloses the kernel's inner quantity (see
+    /// [`Kernel::eval_bounds`]) as the input ranges over the box.
+    fn for_each_inner_bounds(
+        &self,
+        lower: &[f64],
+        upper: &[f64],
+        mut term: impl FnMut(f64, f64, f64),
+    ) {
+        assert_eq!(lower.len(), self.dimension, "lower bound has wrong dimension");
+        assert_eq!(upper.len(), self.dimension, "upper bound has wrong dimension");
+        let mut lo = [0.0; SV_BLOCK];
+        let mut hi = [0.0; SV_BLOCK];
+        for block in self.blocks() {
+            let (lo, hi) = (&mut lo[..block.len()], &mut hi[..block.len()]);
+            lo.fill(0.0);
+            hi.fill(0.0);
+            for (j, (&l, &u)) in lower.iter().zip(upper).enumerate() {
+                let column = self.column_block(j, &block);
+                if self.kernel.uses_distance() {
+                    accumulate_bounds(lo, hi, column, |sv| distance_term_bounds(sv, l, u));
+                } else {
+                    accumulate_bounds(lo, hi, column, |sv| dot_term_bounds(sv, l, u));
+                }
+            }
+            for ((&coef, &lo), &hi) in self.coefficients[block].iter().zip(&*lo).zip(&*hi) {
+                term(coef, lo, hi);
+            }
+        }
+    }
+
+    /// The support-vector index ranges of the prediction blocks.
+    fn blocks(&self) -> impl Iterator<Item = Range<usize>> {
+        let count = self.coefficients.len();
+        (0..count).step_by(SV_BLOCK).map(move |start| start..count.min(start + SV_BLOCK))
+    }
+
+    /// Feature `j` of the support vectors in `block`.
+    fn column_block(&self, j: usize, block: &Range<usize>) -> &[f64] {
+        let offset = j * self.coefficients.len();
+        &self.sv_columns[offset + block.start..offset + block.end]
     }
 
     /// Predicted class label (`+1.0` or `-1.0`).
@@ -443,7 +536,7 @@ impl Svc {
 
     /// Number of support vectors retained by training.
     pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
+        self.coefficients.len()
     }
 
     /// Expected input dimension.
@@ -471,6 +564,134 @@ impl Svc {
     /// coefficient order.
     pub fn support_indices(&self) -> &[usize] {
         &self.support_indices
+    }
+}
+
+/// Adds `term(sv)` to each block member's accumulator.
+fn accumulate(acc: &mut [f64], column: &[f64], term: impl Fn(f64) -> f64) {
+    for (a, &sv) in acc.iter_mut().zip(column) {
+        *a += term(sv);
+    }
+}
+
+/// Adds the bounds `term(sv)` to each block member's accumulators.
+fn accumulate_bounds(
+    lo: &mut [f64],
+    hi: &mut [f64],
+    column: &[f64],
+    term: impl Fn(f64) -> (f64, f64),
+) {
+    for ((l, h), &sv) in lo.iter_mut().zip(hi.iter_mut()).zip(column) {
+        let (t_lo, t_hi) = term(sv);
+        *l += t_lo;
+        *h += t_hi;
+    }
+}
+
+/// The wire format of [`Svc`], unchanged by the column-major storage: one
+/// `support_vectors` row per support vector, in coefficient order.
+#[derive(Serialize, Deserialize)]
+struct SvcWire {
+    kernel: Kernel,
+    support_vectors: Vec<Vec<f64>>,
+    coefficients: Vec<f64>,
+    /// Defaulted so 0.3-era models still load.
+    #[serde(default)]
+    support_indices: Vec<usize>,
+    rho: f64,
+    dimension: usize,
+    bias_shift: f64,
+    #[serde(default)]
+    iterations: usize,
+}
+
+impl Serialize for Svc {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        let count = self.coefficients.len();
+        SvcWire {
+            kernel: self.kernel,
+            support_vectors: (0..count)
+                .map(|i| (0..self.dimension).map(|j| self.sv_columns[j * count + i]).collect())
+                .collect(),
+            coefficients: self.coefficients.clone(),
+            support_indices: self.support_indices.clone(),
+            rho: self.rho,
+            dimension: self.dimension,
+            bias_shift: self.bias_shift,
+            iterations: self.iterations,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Svc {
+    /// Decodes the row-major wire format and rejects, naming the
+    /// support-vector row, a model that could not predict: `support_vectors`
+    /// and `coefficients` of different lengths, non-empty `support_indices`
+    /// of another length, a row whose length is not `dimension`, or a
+    /// non-finite value.
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        Svc::from_wire(SvcWire::deserialize(deserializer)?)
+            .map_err(|message| serde::de::Error::custom(format!("invalid svc model: {message}")))
+    }
+}
+
+impl Svc {
+    /// Validates a decoded model (see the `Deserialize` impl; an invalid
+    /// kernel is rejected too) and stores its support vectors column-major.
+    fn from_wire(wire: SvcWire) -> std::result::Result<Svc, String> {
+        let rows = wire.support_vectors;
+        let count = wire.coefficients.len();
+        if rows.len() != count {
+            return Err(format!(
+                "support vector row {}: {} rows but {count} coefficients",
+                rows.len().min(count),
+                rows.len()
+            ));
+        }
+        let indices = wire.support_indices.len();
+        if indices != 0 && indices != count {
+            return Err(format!(
+                "support vector row {}: {indices} support indices for {count} rows",
+                indices.min(count)
+            ));
+        }
+        for (i, (row, coef)) in rows.iter().zip(&wire.coefficients).enumerate() {
+            if row.len() != wire.dimension {
+                return Err(format!(
+                    "support vector row {i} has {} values, expected dimension {}",
+                    row.len(),
+                    wire.dimension
+                ));
+            }
+            if let Some(value) = row.iter().chain([coef]).find(|v| !v.is_finite()) {
+                return Err(format!("support vector row {i} holds non-finite value {value}"));
+            }
+        }
+        if !(wire.rho.is_finite() && wire.bias_shift.is_finite()) {
+            return Err(format!(
+                "non-finite offset (rho {}, bias_shift {})",
+                wire.rho, wire.bias_shift
+            ));
+        }
+        wire.kernel.validate().map_err(|error| error.to_string())?;
+        Ok(Svc {
+            kernel: wire.kernel,
+            sv_columns: (0..wire.dimension)
+                .flat_map(|j| rows.iter().map(move |row| row[j]))
+                .collect(),
+            coefficients: wire.coefficients,
+            support_indices: wire.support_indices,
+            rho: wire.rho,
+            dimension: wire.dimension,
+            bias_shift: wire.bias_shift,
+            iterations: wire.iterations,
+        })
     }
 }
 
@@ -737,5 +958,163 @@ mod tests {
             warm_usage,
             EngineUsage { seeded_rows: 96, rebuilt_rows: 977, ignored_bank: false }
         );
+    }
+
+    /// The four kernel families, with parameters that keep every outer
+    /// function in its interesting range on the fixtures below.
+    fn kernels() -> [Kernel; 4] {
+        [
+            Kernel::linear(),
+            Kernel::rbf(0.8),
+            Kernel::polynomial(0.5, 1.0, 3),
+            Kernel::sigmoid(0.3, -0.2),
+        ]
+    }
+
+    /// The wire form of a model with `count` random support vectors of
+    /// `dimension` features.
+    fn random_wire(kernel: Kernel, count: usize, dimension: usize, state: &mut u64) -> SvcWire {
+        SvcWire {
+            kernel,
+            support_vectors: (0..count)
+                .map(|_| (0..dimension).map(|_| 3.0 * smo::uniform(state) - 1.0).collect())
+                .collect(),
+            coefficients: (0..count).map(|_| 20.0 * smo::uniform(state) - 10.0).collect(),
+            support_indices: Vec::new(),
+            rho: smo::uniform(state) - 0.5,
+            dimension,
+            bias_shift: 0.25,
+            iterations: 0,
+        }
+    }
+
+    /// A random model built through the wire-format validator, and its rows.
+    fn random_model(
+        kernel: Kernel,
+        count: usize,
+        dimension: usize,
+        state: &mut u64,
+    ) -> (Svc, Vec<Vec<f64>>) {
+        let wire = random_wire(kernel, count, dimension, state);
+        let rows = wire.support_vectors.clone();
+        (Svc::from_wire(wire).unwrap(), rows)
+    }
+
+    /// Support-vector counts around the prediction block edges.
+    const COUNTS: [usize; 5] = [1, SV_BLOCK - 1, SV_BLOCK, SV_BLOCK + 1, 300];
+    const DIMENSIONS: [usize; 4] = [1, 2, 3, 8];
+
+    /// The column-blocked decision is bit-identical to the per-vector loop
+    /// `Σ coef · Kernel::eval(sv, x) - rho + bias_shift`, for every kernel and
+    /// across the block edges (the all-zero input makes linear terms `-0.0`).
+    #[test]
+    fn blocked_decisions_equal_the_per_vector_loop_bitwise() {
+        let mut state = 14;
+        for kernel in kernels() {
+            for count in COUNTS {
+                for dimension in DIMENSIONS {
+                    let (model, rows) = random_model(kernel, count, dimension, &mut state);
+                    let mut inputs: Vec<Vec<f64>> = (0..8)
+                        .map(|_| (0..dimension).map(|_| 2.0 * smo::uniform(&mut state)).collect())
+                        .collect();
+                    inputs.push(vec![0.0; dimension]);
+                    for x in &inputs {
+                        let mut sum = 0.0;
+                        for (sv, &coef) in rows.iter().zip(&model.coefficients) {
+                            sum += coef * kernel.eval(sv, x);
+                        }
+                        let reference = sum - model.rho + model.bias_shift;
+                        assert_eq!(
+                            model.decision_function(x).to_bits(),
+                            reference.to_bits(),
+                            "{kernel:?}, {count} SVs, dimension {dimension}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `decision_bounds` is bit-identical to the per-vector
+    /// `Kernel::eval_bounds` loop, and `decision_upper_bound` to its upper
+    /// side, on random boxes, point boxes and the tester's boxes (measured
+    /// slots pinned, the rest spanning `[0, 1]`).
+    #[test]
+    fn blocked_bounds_equal_the_per_vector_loop_bitwise() {
+        let mut state = 41;
+        for kernel in kernels() {
+            for count in COUNTS {
+                for dimension in DIMENSIONS {
+                    let (model, rows) = random_model(kernel, count, dimension, &mut state);
+                    let mut boxes = Vec::new();
+                    for _ in 0..4 {
+                        let (a, b): (Vec<f64>, Vec<f64>) = (0..dimension)
+                            .map(|_| {
+                                (2.0 * smo::uniform(&mut state), 2.0 * smo::uniform(&mut state))
+                            })
+                            .unzip();
+                        let lower = a.iter().zip(&b).map(|(x, y)| x.min(*y)).collect();
+                        let upper = a.iter().zip(&b).map(|(x, y)| x.max(*y)).collect();
+                        boxes.push((lower, upper));
+                        boxes.push((a.clone(), a));
+                    }
+                    for measured in 0..=dimension {
+                        let point: Vec<f64> =
+                            (0..dimension).map(|_| smo::uniform(&mut state)).collect();
+                        let lower =
+                            (0..dimension).map(|j| if j < measured { point[j] } else { 0.0 });
+                        let upper =
+                            (0..dimension).map(|j| if j < measured { point[j] } else { 1.0 });
+                        boxes.push((lower.collect(), upper.collect()));
+                    }
+                    for (lower, upper) in &boxes {
+                        let (mut min, mut max) = (0.0, 0.0);
+                        for (sv, &coef) in rows.iter().zip(&model.coefficients) {
+                            let (k_lo, k_hi) = kernel.eval_bounds(sv, lower, upper);
+                            if coef >= 0.0 {
+                                min += coef * k_lo;
+                                max += coef * k_hi;
+                            } else {
+                                min += coef * k_hi;
+                                max += coef * k_lo;
+                            }
+                        }
+                        let offset = model.bias_shift - model.rho;
+                        let (lo, hi) = model.decision_bounds(lower, upper);
+                        let context = format!("{kernel:?}, {count} SVs, box {lower:?}..{upper:?}");
+                        assert_eq!(lo.to_bits(), (min + offset).to_bits(), "{context}");
+                        assert_eq!(hi.to_bits(), (max + offset).to_bits(), "{context}");
+                        assert_eq!(
+                            model.decision_upper_bound(lower, upper).to_bits(),
+                            hi.to_bits(),
+                            "{context}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decoded support vectors are checked row by row; the error names the
+    /// offending row.  (JSON has no non-finite literals, so that case is
+    /// exercised here rather than through a codec.)
+    #[test]
+    fn support_vector_rows_are_validated_by_row() {
+        let wire = || random_wire(Kernel::rbf(1.0), 3, 2, &mut 7);
+        let rejected = |edit: &dyn Fn(&mut SvcWire), expected: &[&str]| {
+            let mut edited = wire();
+            edit(&mut edited);
+            let error = Svc::from_wire(edited).unwrap_err();
+            for needle in expected {
+                assert!(error.contains(needle), "`{needle}` missing from: {error}");
+            }
+        };
+        assert!(Svc::from_wire(wire()).is_ok());
+        rejected(&|w| w.support_vectors[1][0] = f64::NAN, &["row 1", "non-finite"]);
+        rejected(&|w| w.coefficients[2] = f64::INFINITY, &["row 2", "non-finite"]);
+        rejected(&|w| w.support_vectors[2].truncate(1), &["row 2", "dimension 2"]);
+        rejected(&|w| w.support_vectors.truncate(2), &["row 2", "3 coefficients"]);
+        rejected(&|w| w.support_indices = vec![0, 1], &["row 2", "2 support indices"]);
+        rejected(&|w| w.rho = f64::NAN, &["non-finite offset"]);
     }
 }
