@@ -1,17 +1,18 @@
 //! Small-signal AC analysis.
 
 use crate::dc::DcSolution;
-use crate::linalg::{solve_complex, Complex};
-use crate::mna::{assemble_ac, MnaLayout};
+use crate::linalg::{solve_into, Complex, Matrix};
+use crate::mna::{assemble_ac_into, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
 
-/// Result of an AC frequency sweep: one complex solution vector per frequency.
+/// Result of an AC frequency sweep: one complex solution vector per frequency,
+/// stored back to back in one flat buffer (stride: the layout's size).
 #[derive(Debug, Clone)]
 pub struct AcSweep {
     layout: MnaLayout,
     frequencies: Vec<f64>,
-    solutions: Vec<Vec<Complex>>,
+    solutions: Vec<Complex>,
 }
 
 impl AcSweep {
@@ -22,7 +23,8 @@ impl AcSweep {
 
     /// Complex node voltage at sweep point `index`.
     pub fn phasor(&self, node: NodeId, index: usize) -> Complex {
-        self.layout.voltage_complex(&self.solutions[index], node)
+        let size = self.layout.size();
+        self.layout.voltage_complex(&self.solutions[index * size..(index + 1) * size], node)
     }
 
     /// Magnitude response of a node over the whole sweep.
@@ -68,6 +70,9 @@ pub fn log_frequency_sweep(start: f64, stop: f64, points: usize) -> Vec<f64> {
 /// Runs an AC analysis at the given frequencies, linearising the circuit
 /// around the DC operating point `op`.
 ///
+/// One matrix, right-hand side and column list serve every frequency, and
+/// each solution is eliminated straight into the sweep's flat storage.
+///
 /// # Errors
 ///
 /// Returns [`CircuitError::InvalidAnalysis`] for an empty frequency list or
@@ -89,11 +94,15 @@ pub fn ac_analysis(circuit: &Circuit, op: &DcSolution, frequencies: &[f64]) -> R
             reason: "operating point does not match circuit".to_string(),
         });
     }
-    let mut solutions = Vec::with_capacity(frequencies.len());
-    for &frequency in frequencies {
+    let size = layout.size();
+    let mut a = Matrix::zeros(size);
+    let mut b = vec![Complex::zero(); size];
+    let mut cols = Vec::with_capacity(size);
+    let mut solutions = vec![Complex::zero(); size * frequencies.len()];
+    for (&frequency, x) in frequencies.iter().zip(solutions.chunks_exact_mut(size)) {
         let omega = std::f64::consts::TAU * frequency;
-        let (a, b) = assemble_ac(circuit, &layout, op.solution_vector(), omega);
-        solutions.push(solve_complex(a, b)?);
+        assemble_ac_into(circuit, &layout, op.solution_vector(), omega, &mut a, &mut b);
+        solve_into(&mut a, &mut b, x, &mut cols)?;
     }
     Ok(AcSweep { layout, frequencies: frequencies.to_vec(), solutions })
 }

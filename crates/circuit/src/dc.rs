@@ -1,7 +1,7 @@
 //! DC operating-point analysis (Newton–Raphson with gmin and source stepping).
 
-use crate::linalg::solve_real;
-use crate::mna::{assemble_real, AssemblyOptions, DynamicState, MnaLayout};
+use crate::linalg::{solve_into, Matrix};
+use crate::mna::{assemble_real_into, AssemblyOptions, DynamicState, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
 use crate::{CircuitError, Result};
 
@@ -51,20 +51,50 @@ impl DcSolution {
     }
 }
 
-/// Runs one Newton–Raphson solve from the initial guess `x0`.
+/// The buffers one analysis reuses across all its Newton iterations, so an
+/// iteration allocates nothing: the Jacobian and right-hand side, the iterate
+/// and the elimination's solution, and the elimination's column list.
+pub(crate) struct NewtonWorkspace {
+    a: Matrix<f64>,
+    b: Vec<f64>,
+    /// The Newton iterate: the start point going in, the solution coming out.
+    pub(crate) x: Vec<f64>,
+    x_new: Vec<f64>,
+    cols: Vec<usize>,
+}
+
+impl NewtonWorkspace {
+    /// A workspace for systems of `size` unknowns, iterate at zero.
+    pub(crate) fn new(size: usize) -> Self {
+        NewtonWorkspace {
+            a: Matrix::zeros(size),
+            b: vec![0.0; size],
+            x: vec![0.0; size],
+            x_new: vec![0.0; size],
+            cols: Vec::with_capacity(size),
+        }
+    }
+}
+
+/// Runs one Newton–Raphson solve from the iterate in `ws.x`, leaving the
+/// solution there.
+///
+/// Each iteration assembles into and eliminates in the workspace's buffers,
+/// so a whole transient of thousands of solves allocates nothing here. On
+/// error `ws.x` holds the last iterate.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     layout: &MnaLayout,
-    x0: &[f64],
     dynamic: Option<&DynamicState>,
     options: &AssemblyOptions,
-) -> Result<Vec<f64>> {
-    let mut x = x0.to_vec();
+    ws: &mut NewtonWorkspace,
+) -> Result<()> {
+    let NewtonWorkspace { a, b, x, x_new, cols } = ws;
     let node_rows = layout.node_count() - 1;
     let analysis = if options.time_step.is_some() { "transient" } else { "dc" };
     for _iteration in 0..MAX_NEWTON_ITERATIONS {
-        let (a, b) = assemble_real(circuit, layout, &x, dynamic, options);
-        let x_new = solve_real(a, b)?;
+        assemble_real_into(circuit, layout, x, dynamic, options, a, b);
+        solve_into(a, b, x_new, cols)?;
         // Largest node-voltage change decides convergence and damping; branch
         // currents follow the voltages.
         let mut max_delta = 0.0f64;
@@ -79,10 +109,10 @@ pub(crate) fn newton_solve(
                 x[row] += (x_new[row] - x[row]) * scale;
             }
         } else {
-            x = x_new;
+            std::mem::swap(x, x_new);
         }
         if converged {
-            return Ok(x);
+            return Ok(());
         }
     }
     Err(CircuitError::NoConvergence { analysis, iterations: MAX_NEWTON_ITERATIONS })
@@ -136,42 +166,40 @@ pub fn dc_operating_point_from(
         return Err(CircuitError::EmptyCircuit);
     }
     let layout = MnaLayout::new(circuit);
+    let mut ws = NewtonWorkspace::new(layout.size());
     let x0 = match initial_guess {
         Some(guess) if guess.len() == layout.size() => guess.to_vec(),
         _ => vec![0.0; layout.size()],
     };
 
     // 1. Plain Newton.
+    ws.x.copy_from_slice(&x0);
     let options = AssemblyOptions::default();
-    if let Ok(x) = newton_solve(circuit, &layout, &x0, None, &options) {
-        return Ok(DcSolution::new(layout, x));
+    if newton_solve(circuit, &layout, None, &options, &mut ws).is_ok() {
+        return Ok(DcSolution::new(layout, ws.x));
     }
 
-    // 2. gmin stepping: start with a heavily damped circuit and relax.
-    let mut x = x0.clone();
-    let mut gmin_ok = true;
-    for exponent in [-3.0f64, -4.0, -5.0, -6.0, -7.0, -8.0, -9.0, -10.0, -11.0, -12.0] {
-        let options = AssemblyOptions { gmin: 10f64.powf(exponent), ..AssemblyOptions::default() };
-        match newton_solve(circuit, &layout, &x, None, &options) {
-            Ok(next) => x = next,
-            Err(_) => {
-                gmin_ok = false;
-                break;
-            }
-        }
-    }
+    // 2. gmin stepping: start with a heavily damped circuit and relax, each
+    // solve starting from the previous one's solution.
+    ws.x.copy_from_slice(&x0);
+    let gmin_ok =
+        [-3.0f64, -4.0, -5.0, -6.0, -7.0, -8.0, -9.0, -10.0, -11.0, -12.0].iter().all(|exponent| {
+            let options =
+                AssemblyOptions { gmin: 10f64.powf(*exponent), ..AssemblyOptions::default() };
+            newton_solve(circuit, &layout, None, &options, &mut ws).is_ok()
+        });
     if gmin_ok {
-        return Ok(DcSolution::new(layout, x));
+        return Ok(DcSolution::new(layout, ws.x));
     }
 
     // 3. Source stepping: ramp all independent sources from 10 % to 100 %.
-    let mut x = x0;
+    ws.x.copy_from_slice(&x0);
     for step in 1..=10 {
         let options =
             AssemblyOptions { source_scale: step as f64 / 10.0, ..AssemblyOptions::default() };
-        x = newton_solve(circuit, &layout, &x, None, &options)?;
+        newton_solve(circuit, &layout, None, &options, &mut ws)?;
     }
-    Ok(DcSolution::new(layout, x))
+    Ok(DcSolution::new(layout, ws.x))
 }
 
 #[cfg(test)]

@@ -83,13 +83,14 @@ impl MnaLayout {
     }
 }
 
-/// State carried between transient time points.
-#[derive(Debug, Clone)]
-pub struct DynamicState {
+/// State carried between transient time points, borrowed from the
+/// analysis's own storage.
+#[derive(Debug, Clone, Copy)]
+pub struct DynamicState<'a> {
     /// Solution vector at the previous accepted time point.
-    pub x: Vec<f64>,
+    pub x: &'a [f64],
     /// Capacitor currents at the previous time point, indexed by element.
-    pub capacitor_currents: Vec<f64>,
+    pub capacitor_currents: &'a [f64],
 }
 
 /// Options controlling one real-valued assembly.
@@ -111,17 +112,14 @@ impl Default for AssemblyOptions {
     }
 }
 
-/// Real stamps accumulator with ground-row elision.
-struct RealStamps {
-    a: Matrix<f64>,
-    b: Vec<f64>,
+/// Real stamps accumulator with ground-row elision, writing into
+/// caller-owned buffers.
+struct RealStamps<'a> {
+    a: &'a mut Matrix<f64>,
+    b: &'a mut [f64],
 }
 
-impl RealStamps {
-    fn new(size: usize) -> Self {
-        RealStamps { a: Matrix::zeros(size), b: vec![0.0; size] }
-    }
-
+impl RealStamps<'_> {
     fn add_a(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
         if let (Some(r), Some(c)) = (row, col) {
             self.a.add(r, c, value);
@@ -144,15 +142,20 @@ impl RealStamps {
 }
 
 /// Assembles the real MNA system for a DC or transient Newton iteration,
-/// linearised around the iterate `x_guess`.
-pub fn assemble_real(
+/// linearised around the iterate `x_guess`, into `a` and `b` (both are
+/// cleared first, so one pair serves every iteration of an analysis).
+pub fn assemble_real_into(
     circuit: &Circuit,
     layout: &MnaLayout,
     x_guess: &[f64],
     dynamic: Option<&DynamicState>,
     options: &AssemblyOptions,
-) -> (Matrix<f64>, Vec<f64>) {
-    let mut stamps = RealStamps::new(layout.size());
+    a: &mut Matrix<f64>,
+    b: &mut [f64],
+) {
+    a.clear();
+    b.fill(0.0);
+    let mut stamps = RealStamps { a, b };
 
     // gmin from every node to ground keeps floating nodes and cut-off devices
     // from producing a singular Jacobian.
@@ -172,7 +175,7 @@ pub fn assemble_real(
                     let dynamic = dynamic.expect("transient assembly requires dynamic state");
                     let ra = layout.node_row(*a);
                     let rb = layout.node_row(*b);
-                    let v_prev = layout.voltage(&dynamic.x, *a) - layout.voltage(&dynamic.x, *b);
+                    let v_prev = layout.voltage(dynamic.x, *a) - layout.voltage(dynamic.x, *b);
                     let i_prev = dynamic.capacitor_currents[index];
                     let (geq, irhs) = match method {
                         IntegrationMethod::BackwardEuler => {
@@ -219,7 +222,7 @@ pub fn assemble_real(
                                 // v + v_prev = (2L/h)(i - i_prev)
                                 let leq = 2.0 * inductance / h;
                                 let v_prev =
-                                    layout.voltage(&dynamic.x, *a) - layout.voltage(&dynamic.x, *b);
+                                    layout.voltage(dynamic.x, *a) - layout.voltage(dynamic.x, *b);
                                 stamps.add_a(br, br, -leq);
                                 stamps.add_b(br, -leq * i_prev + v_prev);
                                 // Move the +v_prev term to the RHS with a sign
@@ -310,20 +313,16 @@ pub fn assemble_real(
             }
         }
     }
-    (stamps.a, stamps.b)
 }
 
-/// Complex stamps accumulator with ground-row elision.
-struct ComplexStamps {
-    a: Matrix<Complex>,
-    b: Vec<Complex>,
+/// Complex stamps accumulator with ground-row elision, writing into
+/// caller-owned buffers.
+struct ComplexStamps<'a> {
+    a: &'a mut Matrix<Complex>,
+    b: &'a mut [Complex],
 }
 
-impl ComplexStamps {
-    fn new(size: usize) -> Self {
-        ComplexStamps { a: Matrix::zeros(size), b: vec![Complex::zero(); size] }
-    }
-
+impl ComplexStamps<'_> {
     fn add_a(&mut self, row: Option<usize>, col: Option<usize>, value: Complex) {
         if let (Some(r), Some(c)) = (row, col) {
             self.a.add(r, c, value);
@@ -345,14 +344,19 @@ impl ComplexStamps {
 }
 
 /// Assembles the complex small-signal MNA system at angular frequency `omega`,
-/// linearising nonlinear devices around the DC operating point `op_x`.
-pub fn assemble_ac(
+/// linearising nonlinear devices around the DC operating point `op_x`, into
+/// `a` and `b` (both are cleared first).
+pub fn assemble_ac_into(
     circuit: &Circuit,
     layout: &MnaLayout,
     op_x: &[f64],
     omega: f64,
-) -> (Matrix<Complex>, Vec<Complex>) {
-    let mut stamps = ComplexStamps::new(layout.size());
+    a: &mut Matrix<Complex>,
+    b: &mut [Complex],
+) {
+    a.clear();
+    b.fill(Complex::zero());
+    let mut stamps = ComplexStamps { a, b };
     let gmin = Complex::real(1e-12);
     for node in 1..layout.node_count() {
         let row = layout.node_row(NodeId(node));
@@ -449,14 +453,22 @@ pub fn assemble_ac(
             }
         }
     }
-    (stamps.a, stamps.b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elements::SourceWaveform;
-    use crate::linalg::solve_real;
+    use crate::linalg::{solve_complex, solve_real};
+
+    /// Assembles the DC system at the zero iterate and solves it.
+    fn solve_dc(c: &Circuit, layout: &MnaLayout) -> Vec<f64> {
+        let n = layout.size();
+        let (mut a, mut b) = (Matrix::zeros(n), vec![0.0; n]);
+        let x0 = vec![0.0; n];
+        assemble_real_into(c, layout, &x0, None, &AssemblyOptions::default(), &mut a, &mut b);
+        solve_real(a, b).unwrap()
+    }
 
     #[test]
     fn layout_assigns_branches_after_nodes() {
@@ -484,9 +496,7 @@ mod tests {
         c.resistor("R1", vin, vout, 1000.0).unwrap();
         c.resistor("R2", vout, Circuit::ground(), 1000.0).unwrap();
         let layout = MnaLayout::new(&c);
-        let x0 = vec![0.0; layout.size()];
-        let (a, b) = assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default());
-        let x = solve_real(a, b).unwrap();
+        let x = solve_dc(&c, &layout);
         assert!((layout.voltage(&x, vin) - 2.0).abs() < 1e-9);
         assert!((layout.voltage(&x, vout) - 1.0).abs() < 1e-6);
     }
@@ -501,9 +511,7 @@ mod tests {
         c.current_source("I1", a, Circuit::ground(), SourceWaveform::dc(1.0)).unwrap();
         c.resistor("R1", a, Circuit::ground(), 1.0).unwrap();
         let layout = MnaLayout::new(&c);
-        let x0 = vec![0.0; layout.size()];
-        let (m, b) = assemble_real(&c, &layout, &x0, None, &AssemblyOptions::default());
-        let x = solve_real(m, b).unwrap();
+        let x = solve_dc(&c, &layout);
         // Current leaves node a through the source => node a is pulled low.
         assert!((layout.voltage(&x, a) + 1.0).abs() < 1e-9);
     }
@@ -520,9 +528,32 @@ mod tests {
         let op = vec![0.0; layout.size()];
         // At the corner frequency w = 1/RC the magnitude is 1/sqrt(2).
         let omega = 1.0 / (1000.0 * 1e-6);
-        let (a, b) = assemble_ac(&c, &layout, &op, omega);
-        let x = crate::linalg::solve_complex(a, b).unwrap();
+        let (mut a, mut b) = (Matrix::zeros(layout.size()), vec![Complex::zero(); layout.size()]);
+        assemble_ac_into(&c, &layout, &op, omega, &mut a, &mut b);
+        let x = solve_complex(a, b).unwrap();
         let gain = layout.voltage_complex(&x, vout).norm();
         assert!((gain - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3, "gain {gain}");
+    }
+
+    #[test]
+    fn reused_buffers_assemble_like_fresh_ones() {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let vd = c.node("vd");
+        c.voltage_source("V1", vin, Circuit::ground(), SourceWaveform::dc(3.0)).unwrap();
+        c.resistor("R1", vin, vd, 1000.0).unwrap();
+        c.diode("D1", vd, Circuit::ground(), crate::elements::DiodeModel::silicon()).unwrap();
+        let layout = MnaLayout::new(&c);
+        let n = layout.size();
+        let options = AssemblyOptions::default();
+        let assemble = |x: &[f64], a: &mut Matrix<f64>, b: &mut [f64]| {
+            assemble_real_into(&c, &layout, x, None, &options, a, b);
+        };
+        let (mut fresh_a, mut fresh_b) = (Matrix::zeros(n), vec![0.0; n]);
+        assemble(&[0.0, 0.6, 0.0], &mut fresh_a, &mut fresh_b);
+        let (mut a, mut b) = (Matrix::zeros(n), vec![0.0; n]);
+        assemble(&[3.0, 0.7, -1e-3], &mut a, &mut b);
+        assemble(&[0.0, 0.6, 0.0], &mut a, &mut b);
+        assert_eq!((a, b), (fresh_a, fresh_b));
     }
 }

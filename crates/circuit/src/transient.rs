@@ -1,6 +1,6 @@
 //! Fixed-step transient analysis.
 
-use crate::dc::{dc_operating_point, newton_solve, DcSolution};
+use crate::dc::{dc_operating_point, newton_solve, DcSolution, NewtonWorkspace};
 use crate::elements::Element;
 use crate::mna::{AssemblyOptions, DynamicState, IntegrationMethod, MnaLayout};
 use crate::netlist::{Circuit, NodeId};
@@ -32,14 +32,24 @@ impl TransientParams {
 }
 
 /// Result of a transient analysis.
+///
+/// The solution vectors of all time points are stored back to back in one
+/// flat buffer (stride: the layout's size), so a run of thousands of steps
+/// makes no per-step allocation.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     layout: MnaLayout,
     times: Vec<f64>,
-    solutions: Vec<Vec<f64>>,
+    solutions: Vec<f64>,
 }
 
 impl TransientResult {
+    /// The solution vector at time-point index `index`.
+    fn solution(&self, index: usize) -> &[f64] {
+        let size = self.layout.size();
+        &self.solutions[index * size..(index + 1) * size]
+    }
+
     /// Simulated time points in seconds.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -57,7 +67,7 @@ impl TransientResult {
 
     /// Voltage of `node` at time-point index `index`.
     pub fn voltage(&self, node: NodeId, index: usize) -> f64 {
-        self.layout.voltage(&self.solutions[index], node)
+        self.layout.voltage(self.solution(index), node)
     }
 
     /// Full waveform of a node voltage.
@@ -69,7 +79,7 @@ impl TransientResult {
     /// Branch current of element `element_index` at time-point `index`
     /// (only for elements carrying a branch unknown).
     pub fn branch_current(&self, element_index: usize, index: usize) -> Option<f64> {
-        self.layout.branch_row(element_index).map(|row| self.solutions[index][row])
+        self.layout.branch_row(element_index).map(|row| self.solution(index)[row])
     }
 }
 
@@ -80,6 +90,10 @@ impl TransientResult {
 /// for the trapezoidal rule); subsequent steps use the configured method.  If
 /// a Newton solve fails at some time point, the step is retried with backward
 /// Euler and half the step size before giving up.
+///
+/// Every Newton iteration of the run assembles and eliminates in one
+/// workspace created for the analysis, capacitor history advances in place,
+/// and each accepted solution is appended to one flat buffer.
 ///
 /// # Errors
 ///
@@ -114,7 +128,8 @@ pub fn transient_analysis(circuit: &Circuit, params: &TransientParams) -> Result
 ///
 /// # Errors
 ///
-/// See [`transient_analysis`].
+/// Returns [`CircuitError::InvalidAnalysis`] when `initial` does not have
+/// the circuit's number of unknowns; otherwise see [`transient_analysis`].
 pub fn transient_analysis_from(
     circuit: &Circuit,
     params: &TransientParams,
@@ -131,18 +146,23 @@ pub fn transient_analysis_from(
     let layout = MnaLayout::new(circuit);
     let op;
     let initial_x: &[f64] = match initial {
-        Some(solution) if solution.layout().size() == layout.size() => solution.solution_vector(),
-        _ => {
+        Some(solution) if solution.layout().size() != layout.size() => {
+            return Err(CircuitError::InvalidAnalysis {
+                reason: "operating point does not match circuit".to_string(),
+            });
+        }
+        Some(solution) => solution.solution_vector(),
+        None => {
             op = dc_operating_point(circuit)?;
             op.solution_vector()
         }
     };
 
-    let element_count = circuit.elements().len();
-    let mut state =
-        DynamicState { x: initial_x.to_vec(), capacitor_currents: vec![0.0; element_count] };
+    let size = layout.size();
+    let mut ws = NewtonWorkspace::new(size);
+    let mut currents = vec![0.0; circuit.elements().len()];
     let mut times = vec![0.0];
-    let mut solutions = vec![state.x.clone()];
+    let mut solutions = initial_x.to_vec();
 
     let mut time = 0.0;
     let mut first_step = true;
@@ -150,74 +170,69 @@ pub fn transient_analysis_from(
         let h = params.time_step;
         let t_new = time + h;
         let method = if first_step { IntegrationMethod::BackwardEuler } else { params.method };
-        let x_new = step(circuit, &layout, &state, t_new, h, method).or_else(|_| {
+        let previous = &solutions[solutions.len() - size..];
+        let state = DynamicState { x: previous, capacitor_currents: &currents };
+        if step(circuit, &layout, state, t_new, h, method, &mut ws).is_err() {
             // Retry with the more robust combination: backward Euler and
             // two half-steps.
             let half = h / 2.0;
-            let x_mid = step(
-                circuit,
-                &layout,
-                &state,
-                time + half,
-                half,
-                IntegrationMethod::BackwardEuler,
-            )?;
-            let mid_state = advance_state(
-                circuit,
-                &layout,
-                &state,
-                x_mid,
-                half,
-                IntegrationMethod::BackwardEuler,
-            );
-            step(circuit, &layout, &mid_state, t_new, half, IntegrationMethod::BackwardEuler)
-        })?;
-        state = advance_state(circuit, &layout, &state, x_new, h, method);
+            let euler = IntegrationMethod::BackwardEuler;
+            step(circuit, &layout, state, time + half, half, euler, &mut ws)?;
+            let x_mid = ws.x.clone();
+            let mut mid_currents = currents.clone();
+            advance_currents(circuit, &layout, previous, &x_mid, half, euler, &mut mid_currents);
+            let mid_state = DynamicState { x: &x_mid, capacitor_currents: &mid_currents };
+            step(circuit, &layout, mid_state, t_new, half, euler, &mut ws)?;
+        }
+        advance_currents(circuit, &layout, previous, &ws.x, h, method, &mut currents);
         times.push(t_new);
-        solutions.push(state.x.clone());
+        solutions.extend_from_slice(&ws.x);
         time = t_new;
         first_step = false;
     }
     Ok(TransientResult { layout, times, solutions })
 }
 
-/// Solves one time step and returns the new solution vector.
+/// Solves one time step from the accepted `state`, leaving the new solution
+/// vector in `ws.x`.
 fn step(
     circuit: &Circuit,
     layout: &MnaLayout,
-    state: &DynamicState,
+    state: DynamicState,
     t_new: f64,
     h: f64,
     method: IntegrationMethod,
-) -> Result<Vec<f64>> {
+    ws: &mut NewtonWorkspace,
+) -> Result<()> {
     let options =
         AssemblyOptions { gmin: 1e-12, source_scale: 1.0, time_step: Some((t_new, h, method)) };
-    newton_solve(circuit, layout, &state.x, Some(state), &options)
+    ws.x.copy_from_slice(state.x);
+    newton_solve(circuit, layout, Some(&state), &options, ws)
 }
 
-/// Computes the dynamic state (capacitor currents) after an accepted step.
-fn advance_state(
+/// Advances the capacitor currents (indexed by element) in place across an
+/// accepted step from `x_old` to `x_new`.
+fn advance_currents(
     circuit: &Circuit,
     layout: &MnaLayout,
-    previous: &DynamicState,
-    x_new: Vec<f64>,
+    x_old: &[f64],
+    x_new: &[f64],
     h: f64,
     method: IntegrationMethod,
-) -> DynamicState {
-    let mut capacitor_currents = previous.capacitor_currents.clone();
+    currents: &mut [f64],
+) {
     for (index, element) in circuit.elements().iter().enumerate() {
         if let Element::Capacitor { a, b, capacitance, .. } = element {
-            let v_new = layout.voltage(&x_new, *a) - layout.voltage(&x_new, *b);
-            let v_old = layout.voltage(&previous.x, *a) - layout.voltage(&previous.x, *b);
-            capacitor_currents[index] = match method {
+            let v_new = layout.voltage(x_new, *a) - layout.voltage(x_new, *b);
+            let v_old = layout.voltage(x_old, *a) - layout.voltage(x_old, *b);
+            currents[index] = match method {
                 IntegrationMethod::BackwardEuler => capacitance / h * (v_new - v_old),
                 IntegrationMethod::Trapezoidal => {
-                    2.0 * capacitance / h * (v_new - v_old) - previous.capacitor_currents[index]
+                    2.0 * capacitance / h * (v_new - v_old) - currents[index]
                 }
             };
         }
     }
-    DynamicState { x: x_new, capacitor_currents }
 }
 
 #[cfg(test)]
@@ -299,6 +314,32 @@ mod tests {
         assert!(transient_analysis(&c, &TransientParams::new(0.0, 1e-6)).is_err());
         assert!(transient_analysis(&c, &TransientParams::new(1e-3, 0.0)).is_err());
         assert!(transient_analysis(&c, &TransientParams::new(1e-6, 1e-3)).is_err());
+    }
+
+    #[test]
+    fn foreign_operating_point_is_rejected() {
+        let mut divider = Circuit::new();
+        let a = divider.node("a");
+        divider.voltage_source("V1", a, Circuit::ground(), SourceWaveform::dc(1.0)).unwrap();
+        divider.resistor("R1", a, Circuit::ground(), 1.0).unwrap();
+        let foreign = dc_operating_point(&divider).unwrap();
+
+        let mut rc = Circuit::new();
+        let vin = rc.node("vin");
+        let vout = rc.node("vout");
+        rc.voltage_source("V1", vin, Circuit::ground(), SourceWaveform::dc(1.0)).unwrap();
+        rc.resistor("R1", vin, vout, 1_000.0).unwrap();
+        rc.capacitor("C1", vout, Circuit::ground(), 1e-6).unwrap();
+        let params = TransientParams::new(1e-3, 1e-5);
+        assert_eq!(
+            transient_analysis_from(&rc, &params, Some(&foreign)).unwrap_err(),
+            CircuitError::InvalidAnalysis {
+                reason: "operating point does not match circuit".to_string()
+            }
+        );
+        let own = dc_operating_point(&rc).unwrap();
+        let from_own = transient_analysis_from(&rc, &params, Some(&own)).unwrap();
+        assert_eq!(from_own.voltage(vout, 0), own.voltage(vout));
     }
 
     #[test]

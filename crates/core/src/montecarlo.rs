@@ -1,5 +1,7 @@
 //! Monte-Carlo training-data generation (Figure 1 of the paper).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -144,32 +146,43 @@ pub fn run_monte_carlo(
     Ok(MonteCarloRun { rows, skipped })
 }
 
-/// Simulates one attempt per seed, in seed order: inline when `threads <= 1`,
-/// otherwise in contiguous chunks on `threads` scoped workers.
+/// Simulates one attempt per seed and returns the results in seed order:
+/// inline when `threads <= 1`, otherwise on up to `threads` scoped workers
+/// that each claim the next unsimulated seed index until none is left, so a
+/// worker that drew quick instances keeps going instead of idling while
+/// another finishes a fixed share.
 fn simulate_wave(
     device: &dyn DeviceUnderTest,
     seeds: &[u64],
     threads: usize,
 ) -> Vec<std::result::Result<Vec<f64>, String>> {
-    let simulate = move |chunk: &[u64]| -> Vec<_> {
-        chunk
-            .iter()
-            .map(|&seed| device.simulate_instance(&mut StdRng::seed_from_u64(seed)))
-            .collect()
-    };
+    let simulate = |seed: u64| device.simulate_instance(&mut StdRng::seed_from_u64(seed));
     if threads <= 1 {
-        return simulate(seeds);
+        return seeds.iter().map(|&seed| simulate(seed)).collect();
     }
+    // The counter only hands out indices; results travel through `join`.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<_>> = seeds.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .chunks(seeds.len().div_ceil(threads))
-            .map(|chunk| scope.spawn(move || simulate(chunk)))
+        let workers: Vec<_> = (0..threads.min(seeds.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&seed) = seeds.get(index) else { break done };
+                        done.push((index, simulate(seed)));
+                    }
+                })
+            })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("simulation worker panicked"))
-            .collect()
-    })
+        for worker in workers {
+            for (index, result) in worker.join().expect("simulation worker panicked") {
+                slots[index] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every seed index is claimed once")).collect()
 }
 
 /// Accepts a simulated row only if it has one finite value per specification.
@@ -256,8 +269,6 @@ pub fn generate_train_test(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     use super::*;
     use crate::device::SyntheticDevice;
 
